@@ -305,59 +305,6 @@ def _bench_batched_service(
     }
 
 
-def _bench_crawl_processes(
-    n_apps: int, seed: int, processes: int = 3
-) -> dict[str, Any]:
-    """Sequential vs supervised multi-process crawl under faults + a kill.
-
-    The scaling-trajectory component: records/s at 1 vs N processes at
-    ``fault_rate=0.2``, with one worker SIGKILLed mid-shard so the
-    measured speedup includes the price of detection, journal recovery,
-    and a respawn.  Byte-identity of the two runs is asserted (it is
-    the supervisor's whole contract).  Not gated: process spawn cost is
-    wall-clock noisy and the workload is small at CI scale.
-    """
-    from repro.config import ScaleConfig
-    from repro.crawler.checkpoint import record_to_jsonable
-    from repro.crawler.crawler import make_crawler
-    from repro.crawler.supervisor import KILL, ShardSupervisor, WorkerChaos
-    from repro.ecosystem.simulation import run_simulation
-
-    world = run_simulation(
-        ScaleConfig(scale=0.01, master_seed=seed, fault_rate=0.2)
-    )
-    apps = sorted(a.app_id for a in world.registry.all_apps())[:n_apps]
-    rng_state = world.installer.rng_state()
-
-    sequential_s, sequential = _time(lambda: make_crawler(world).crawl_many(apps))
-
-    def supervised():
-        world.installer.restore_rng_state(rng_state)
-        supervisor = ShardSupervisor(
-            make_crawler(world),
-            processes=processes,
-            chaos=WorkerChaos(mode=KILL, shard=0, app_index=1),
-        )
-        return supervisor.crawl(apps), supervisor
-
-    supervised_s, (records, supervisor) = _time(supervised)
-    assert {a: record_to_jsonable(r) for a, r in records.items()} == {
-        a: record_to_jsonable(r) for a, r in sequential.items()
-    }
-    return {
-        "apps": len(apps),
-        "processes": processes,
-        "fault_rate": 0.2,
-        "worker_kills": supervisor.worker_deaths,
-        "restarts": supervisor.restarts,
-        "sequential_s": sequential_s,
-        "supervised_s": supervised_s,
-        "records_per_s_1p": len(apps) / sequential_s,
-        "records_per_s_np": len(apps) / supervised_s,
-        "speedup": sequential_s / supervised_s,
-    }
-
-
 def _bench_store_ingest(n_rows: int, seed: int) -> dict[str, Any]:
     """Analytics-store ingest + query throughput vs raw-artifact reparse.
 
@@ -485,9 +432,6 @@ def run_bench(mode: str = "quick", seed: int = 2012) -> dict[str, Any]:
             batch_max=8,
             seed=seed,
         ),
-        "crawl_processes": _bench_crawl_processes(
-            n_apps=96 if full else 24, seed=seed
-        ),
         "store_ingest": _bench_store_ingest(
             n_rows=50_000 if full else 10_000, seed=seed
         ),
@@ -559,18 +503,11 @@ def render(report: dict[str, Any]) -> str:
         f"bench mode={report['mode']} seed={report['seed']} "
         f"(python {report['python']}, numpy {report['numpy']})"
     ]
-    timing_keys = (
-        "naive_s", "fast_s", "unbatched_s", "batched_s",
-        "sequential_s", "supervised_s", "speedup",
-    )
+    timing_keys = ("naive_s", "fast_s", "unbatched_s", "batched_s", "speedup")
     for name, data in report["components"].items():
         gated = " [gated]" if name in GATED_COMPONENTS else ""
-        slow = data.get(
-            "naive_s", data.get("unbatched_s", data.get("sequential_s"))
-        )
-        fast = data.get(
-            "fast_s", data.get("batched_s", data.get("supervised_s"))
-        )
+        slow = data.get("naive_s", data.get("unbatched_s"))
+        fast = data.get("fast_s", data.get("batched_s"))
         detail = ", ".join(
             f"{key}={value:.3g}" if isinstance(value, float) else f"{key}={value}"
             for key, value in data.items()

@@ -89,17 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue the crawl from an existing --checkpoint DIR",
     )
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="crawl workers for the batch-parallel scheduler "
-             "(default 1: sequential; any value is byte-identical)",
-    )
-    parser.add_argument(
-        "--processes", type=int, default=1,
-        help="OS processes for the fault-tolerant sharded crawl "
-             "(default 1: no supervisor; any value is byte-identical, "
-             "even when workers are killed mid-shard)",
-    )
-    parser.add_argument(
         "--store", metavar="FILE", default=None,
         help="sink this run's outputs (and, when instrumented, its "
              "trace/metrics) into the fleet analytics store at FILE "
@@ -149,14 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     crawl.add_argument(
         "--resume", action="store_true", default=argparse.SUPPRESS,
         help="override the global --resume",
-    )
-    crawl.add_argument(
-        "--workers", type=int, default=argparse.SUPPRESS,
-        help="override the global --workers",
-    )
-    crawl.add_argument(
-        "--processes", type=int, default=argparse.SUPPRESS,
-        help="override the global --processes",
     )
 
     evaluate = sub.add_parser("evaluate", help="watchdog over app IDs")
@@ -401,8 +382,6 @@ def _config(args: argparse.Namespace) -> ScaleConfig:
         checkpoint_dir=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
-        crawl_workers=args.workers,
-        crawl_processes=args.processes,
     )
 
 
@@ -517,12 +496,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     try:
-        records = crawler.crawl_many(
-            bundle.d_sample,
-            journal=journal,
-            workers=config.crawl_workers,
-            processes=config.crawl_processes,
-        )
+        records = crawler.crawl_many(bundle.d_sample, journal=journal)
     finally:
         if journal is not None:
             journal.close()

@@ -214,15 +214,6 @@ class ScaleConfig:
     checkpoint_every: int = 64
     #: continue an existing checkpoint instead of refusing to touch it
     resume: bool = False
-    #: crawl workers for the batch-parallel scheduler; 1 = the plain
-    #: sequential loop.  Any value yields byte-identical records (see
-    #: :mod:`repro.crawler.scheduler` for the determinism contract).
-    crawl_workers: int = 1
-    #: OS processes for the fault-tolerant sharded crawl; 1 = no
-    #: supervisor.  Takes precedence over ``crawl_workers`` and keeps
-    #: the same byte-identity contract even under worker crashes (see
-    #: :mod:`repro.crawler.supervisor`).
-    crawl_processes: int = 1
 
     def __post_init__(self) -> None:
         if not 0 < self.scale <= 1.0:
@@ -242,14 +233,6 @@ class ScaleConfig:
         if self.checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
-            )
-        if self.crawl_workers < 1:
-            raise ValueError(
-                f"crawl_workers must be >= 1, got {self.crawl_workers}"
-            )
-        if self.crawl_processes < 1:
-            raise ValueError(
-                f"crawl_processes must be >= 1, got {self.crawl_processes}"
             )
         if self.post_scale is None:
             # Posts outnumber apps ~800:1 in the paper; keep laptop runs

@@ -138,8 +138,6 @@ class FrappePipeline:
             crawl=True,
             crawler=crawler,
             journal=journal,
-            workers=world.config.crawl_workers,
-            processes=world.config.crawl_processes,
         )
         extractor = self.make_extractor(world, bundle)
 
@@ -206,12 +204,7 @@ class FrappePipeline:
         their surviving collections support instead of by imputed zeros.
         """
         unlabelled = result.bundle.d_total - result.bundle.d_sample
-        result.unlabelled_records = crawler.crawl_many(
-            unlabelled,
-            journal=journal,
-            workers=result.world.config.crawl_workers,
-            processes=result.world.config.crawl_processes,
-        )
+        result.unlabelled_records = crawler.crawl_many(unlabelled, journal=journal)
         ordered = sorted(result.unlabelled_records)
         records = [result.unlabelled_records[a] for a in ordered]
         if records:

@@ -44,7 +44,6 @@ from repro.crawler.checkpoint import (
     SimulatedCrash,
     atomic_write,
 )
-from repro.crawler.scheduler import CrawlScheduler
 
 __all__ = [
     "CrawlJournal",
@@ -54,7 +53,6 @@ __all__ = [
     "SocialBakers",
     "AppCrawler",
     "CrawlRecord",
-    "CrawlScheduler",
     "make_crawler",
     "outcome_tallies",
     "recovery_rate",

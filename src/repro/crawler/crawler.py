@@ -202,10 +202,9 @@ class AppCrawler:
         Internally the whole crawl runs in a fresh *app frame* (time
         since this call started): the default deadline is the policy
         budget verbatim and an absolute *deadline_at* is converted on
-        entry.  Frame-relative arithmetic is what lets the
-        batch-parallel scheduler crawl apps in sandboxes and still
-        produce bit-identical records (see
-        :mod:`repro.crawler.scheduler`).
+        entry.  Frame-relative arithmetic keeps an app's record
+        independent of where the global clock stood when its crawl
+        began.
         """
         record = CrawlRecord(app_id=app_id)
         self._executor.begin_app()
@@ -271,8 +270,6 @@ class AppCrawler:
         app_ids: list[str] | set[str],
         journal: "CrawlJournal | None" = None,
         crash_plan: "CrashPlan | None" = None,
-        workers: int = 1,
-        processes: int = 1,
     ) -> dict[str, CrawlRecord]:
         """Crawl *app_ids* in sorted order, optionally crash-safely.
 
@@ -286,31 +283,21 @@ class AppCrawler:
 
         *crash_plan* injects a :class:`SimulatedCrash` at a configured
         point of the loop (crash-injection tests); ``None`` means never.
-
-        ``workers > 1`` runs the batch-parallel scheduler
-        (:class:`~repro.crawler.scheduler.CrawlScheduler`), whose output
-        — records and all crawler side effects — is byte-identical to
-        this sequential loop by construction.  ``processes > 1`` runs
-        the fault-tolerant multi-process supervisor
-        (:class:`~repro.crawler.supervisor.ShardSupervisor`) with the
-        same byte-identity contract; it takes precedence over
-        ``workers``.  Crash injection targets this sequential loop's
-        journaling windows, so a *crash_plan* forces the sequential
-        path (as it does for the thread scheduler).
         """
-        if processes > 1 and crash_plan is None:
-            from repro.crawler.supervisor import ShardSupervisor
-
-            return ShardSupervisor(self, processes=processes).crawl(
-                app_ids, journal=journal
-            )
-        if workers > 1:
-            from repro.crawler.scheduler import CrawlScheduler
-
-            return CrawlScheduler(self, workers=workers).crawl(
-                app_ids, journal=journal, crash_plan=crash_plan
-            )
-        records, pending = self.journal_prologue(app_ids, journal)
+        records: dict[str, CrawlRecord] = {}
+        pending: list[str] = []
+        if journal is None:
+            pending = sorted(app_ids)
+        else:
+            journal.validate_fingerprint(self.checkpoint_fingerprint())
+            replayed = journal.records
+            for app_id in sorted(app_ids):
+                if app_id in replayed:
+                    records[app_id] = replayed[app_id]
+                else:
+                    pending.append(app_id)
+            if journal.state is not None:
+                self.restore_state(journal.state)
         for app_id in pending:
             if crash_plan is not None:
                 crash_plan.advance()
@@ -327,35 +314,6 @@ class AppCrawler:
                     crash_plan.check("after_append")
             records[app_id] = record
         return records
-
-    def journal_prologue(
-        self,
-        app_ids: list[str] | set[str],
-        journal: "CrawlJournal | None",
-    ) -> tuple[dict[str, CrawlRecord], list[str]]:
-        """Split *app_ids* into journal-replayed records and pending IDs.
-
-        With a journal this validates the fingerprint, replays already
-        durable records, and restores the crawler's continuation state —
-        the shared resume prologue of the sequential loop and the
-        batch-parallel scheduler.  Pending IDs come back in canonical
-        (sorted) crawl order.
-        """
-        records: dict[str, CrawlRecord] = {}
-        pending: list[str] = []
-        if journal is None:
-            pending = sorted(app_ids)
-        else:
-            journal.validate_fingerprint(self.checkpoint_fingerprint())
-            replayed = journal.records
-            for app_id in sorted(app_ids):
-                if app_id in replayed:
-                    records[app_id] = replayed[app_id]
-                else:
-                    pending.append(app_id)
-            if journal.state is not None:
-                self.restore_state(journal.state)
-        return records, pending
 
     # -- checkpoint support -----------------------------------------------
 

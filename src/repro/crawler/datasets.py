@@ -118,8 +118,6 @@ class DatasetBuilder:
         crawl: bool = True,
         crawler: AppCrawler | None = None,
         journal: "CrawlJournal | None" = None,
-        workers: int = 1,
-        processes: int = 1,
     ) -> DatasetBundle:
         """Assemble the bundle, optionally crawling D-Sample.
 
@@ -127,11 +125,7 @@ class DatasetBuilder:
         injection, retry policy); the default is a fault-free crawler.
         Pass *journal* to make the crawl crash-safe: completed records
         become durable as they land and a rebuilt builder resumes from
-        them (see :mod:`repro.crawler.checkpoint`).  *workers* > 1
-        crawls through the batch-parallel scheduler (byte-identical
-        records; see :mod:`repro.crawler.scheduler`); *processes* > 1
-        through the fault-tolerant multi-process supervisor
-        (:mod:`repro.crawler.supervisor`), same contract.
+        them (see :mod:`repro.crawler.checkpoint`).
         """
         d_total = self._labeler.observed_app_ids()
         whitelist = self._build_whitelist(d_total)
@@ -146,12 +140,7 @@ class DatasetBuilder:
         )
         if crawl:
             crawler = crawler or AppCrawler(self._world)
-            bundle.records = crawler.crawl_many(
-                bundle.d_sample,
-                journal=journal,
-                workers=workers,
-                processes=processes,
-            )
+            bundle.records = crawler.crawl_many(bundle.d_sample, journal=journal)
         return bundle
 
     def _build_whitelist(self, d_total: set[str]) -> set[str]:

@@ -30,8 +30,7 @@ Robustness is the contract, not a feature:
   that resurrect an app after a recorded deletion) are moved to
   ``.corrupt`` sidecars and the loop continues.
 * **Supervised epochs.**  :class:`SupervisedEpochRunner` forks each
-  epoch into a worker, watches heartbeats (the
-  :mod:`repro.crawler.supervisor` pattern), restarts hung or dead
+  epoch into a worker, watches its heartbeats, restarts hung or dead
   workers with backoff, and unconditionally falls back to inline
   execution — the journal makes every rung resume-correct.
 
@@ -896,7 +895,7 @@ class SupervisedEpochRunner:
     """Fork-watch-restart for epochs, with an unconditional inline rung.
 
     Each epoch runs in a forked worker that heartbeats per observation
-    (the :mod:`repro.crawler.supervisor` pattern).  A worker that dies
+    over a pipe.  A worker that dies
     (SIGKILL, nonzero exit) or goes silent past the heartbeat deadline
     is restarted with exponential backoff, at most ``max_restarts``
     times; after that the epoch runs *inline* in the parent — which

@@ -246,11 +246,9 @@ class ResilientExecutor:
     timestamps, outcome timing) runs in the transport's *app frame* —
     the time elapsed since :meth:`begin_app` — which every app's crawl
     integrates from exactly 0.0.  Keeping the arithmetic off the global
-    clock makes an app's crawl bit-reproducible wherever it runs: the
-    batch-parallel scheduler crawls apps in sandboxes and commits them
-    in canonical order relying on exactly this invariance (float
-    addition is not associative, so arithmetic based on the global
-    clock would drift in the last ulp with the clock's base).
+    clock makes an app's crawl bit-reproducible wherever it starts
+    (float addition is not associative, so arithmetic based on the
+    global clock would drift in the last ulp with the clock's base).
     """
 
     def __init__(

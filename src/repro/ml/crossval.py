@@ -14,7 +14,12 @@ import numpy as np
 from repro.ml.metrics import ClassificationReport, confusion_report
 from repro.ml.scaling import StandardScaler
 
-__all__ = ["stratified_kfold_indices", "cross_validate", "subsample_to_ratio"]
+__all__ = [
+    "stratified_kfold_indices",
+    "cross_validate",
+    "resampled_counts",
+    "subsample_to_ratio",
+]
 
 
 class _Classifier(Protocol):  # pragma: no cover - typing helper
@@ -77,6 +82,22 @@ def cross_validate(
     return pooled
 
 
+def resampled_counts(
+    n_benign: int, n_malicious: int, benign_per_malicious: float
+) -> tuple[int, int]:
+    """The (benign, malicious) counts :func:`subsample_to_ratio` keeps.
+
+    Whichever class is the binding constraint is used in full.
+    """
+    n_kept_malicious = max(
+        min(n_malicious, int(n_benign / benign_per_malicious)), 1
+    )
+    n_kept_benign = min(
+        n_benign, int(round(n_kept_malicious * benign_per_malicious))
+    )
+    return n_kept_benign, n_kept_malicious
+
+
 def subsample_to_ratio(
     x: np.ndarray,
     y: np.ndarray,
@@ -95,12 +116,9 @@ def subsample_to_ratio(
     malicious_idx = np.flatnonzero(y == 1)
     if len(benign_idx) == 0 or len(malicious_idx) == 0:
         raise ValueError("need both classes to resample")
-    # Binding constraint: use all of one class.
-    n_malicious = min(
-        len(malicious_idx), int(len(benign_idx) / benign_per_malicious)
+    n_benign, n_malicious = resampled_counts(
+        len(benign_idx), len(malicious_idx), benign_per_malicious
     )
-    n_malicious = max(n_malicious, 1)
-    n_benign = min(len(benign_idx), int(round(n_malicious * benign_per_malicious)))
     chosen_benign = rng.choice(benign_idx, size=n_benign, replace=False)
     chosen_malicious = rng.choice(malicious_idx, size=n_malicious, replace=False)
     chosen = np.concatenate([chosen_benign, chosen_malicious])

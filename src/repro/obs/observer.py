@@ -21,8 +21,8 @@ Determinism contract
 --------------------
 Hook sites supply their own timestamps (``t=...``), always taken from a
 *simulated* clock: the transport's app-frame clock on the crawl side
-(bit-identical between the sequential loop and the batch-parallel
-scheduler's sandboxes), the global simulated clock on the serve side
+(independent of where the global clock stood when the app's crawl
+began), the global simulated clock on the serve side
 (single-threaded), and the iteration index during SVM training.  Wall
 time never enters a trace; it only enters the profiler, whose output is
 explicitly non-deterministic and kept out of trace exports.
@@ -160,9 +160,9 @@ class TracingObserver(Observer):
 
 # -- the current observer ---------------------------------------------------
 #
-# One process-wide slot, defaulting to the null observer.  The crawl
-# scheduler's worker threads read the same slot, so a single
-# ``set_observer`` instruments a whole batch-parallel crawl.
+# One process-wide slot, defaulting to the null observer.  Every thread
+# reads the same slot, so a single ``set_observer`` instruments a whole
+# run.
 
 _current: Observer = NULL_OBSERVER
 

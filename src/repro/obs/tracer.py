@@ -8,25 +8,19 @@ another is open on the same thread becomes its child; otherwise it is a
 
 Determinism
 -----------
-Traces must be byte-reproducible across runs *and* across crawl worker
-counts, which drives three rules:
+Traces must be byte-reproducible across runs, which drives three rules:
 
 * **Timestamps are simulated.**  Hook sites pass ``t`` from the
   transport's app-frame clock (crawl side), the global simulated clock
   (serve side), or an iteration index (training).  Wall time never
   appears.
 * **Roots are canonically ordered.**  The export sorts root spans by
-  ``(category, key)``, not by completion order — so the nondeterministic
-  interleaving of parallel crawl workers cannot reach the bytes.
+  ``(category, key)``, not by completion order — so the order in which
+  concurrent work happens to finish cannot reach the bytes.
 * **Last recording wins.**  Re-recording a root key replaces the
-  previous recording.  The batch-parallel scheduler speculates an app's
-  crawl in a sandbox and occasionally re-crawls it inline against the
-  true state; whichever crawl produced the *committed* record is also
-  the one whose root span survives, matching the sequential trace.
+  previous recording, so a trace holds exactly one root per identity.
 
-Scheduling metadata (category ``"schedule"``) exists only in
-multi-worker runs; exports can exclude it (``categories=...``) when
-comparing traces across worker counts.
+Exports can be restricted to some categories (``categories=...``).
 """
 
 from __future__ import annotations
@@ -152,8 +146,7 @@ class _SpanContext:
             parent.children.append(span)
         else:
             with tracer._lock:
-                # Last recording wins: a scheduler inline re-crawl
-                # replaces the discarded speculation's trace.
+                # Last recording wins per (category, key).
                 tracer._roots[(span.category, span.key)] = span
         return None
 

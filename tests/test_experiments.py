@@ -4,6 +4,8 @@ These exercise the tables/figures machinery on the shared small world;
 the benchmark suite compares the actual numbers at a larger scale.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.experiments import (
@@ -87,6 +89,21 @@ class TestExperimentSemantics:
         found = {a for a, *_ in table9.piggybacked_apps(pipeline_result)}
         targets = pipeline_result.world.piggybacked_ids()
         assert found & targets
+
+    def test_table5_too_small_resample_renders_na(self, pipeline_result):
+        # One malicious and three benign apps: every ratio resamples to
+        # fewer apps than Table 5 has folds.
+        records, labels = pipeline_result.complete_records()
+        malicious = [r for r, y in zip(records, labels) if y][:1]
+        benign = [r for r, y in zip(records, labels) if not y][:3]
+        tiny = SimpleNamespace(
+            extractor=pipeline_result.extractor,
+            complete_records=lambda: (malicious + benign, [1, 0, 0, 0]),
+        )
+        measured = table5.run(tiny).measured_by_metric()
+        assert measured["ratio 1:1"] == "n/a (2 apps < 5 folds)"
+        for ratio in ("4:1", "7:1", "10:1"):
+            assert measured[f"ratio {ratio}"] == "n/a (4 apps < 5 folds)"
 
     def test_fig03_clicks_nonnegative(self, pipeline_result):
         totals = fig03.clicks_per_malicious_app(pipeline_result)

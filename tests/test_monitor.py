@@ -558,6 +558,52 @@ class TestSupervisedRunner:
         assert runner.inline_fallbacks == 1
         assert monitor.export_history_bytes() == expected
 
+    def test_raising_worker_restarts_and_stays_byte_identical(
+        self, app_ids, tmp_path, monkeypatch, caplog
+    ):
+        expected = self.reference_history(app_ids, tmp_path)
+        world = build_world()
+        journal = MonitorJournal(tmp_path / "mon")
+        monitor = AppMonitor(
+            world, make_crawler(world), app_ids,
+            config=MonitorConfig(epochs=1), journal=journal,
+        )
+        # The first worker raises after its third durable observation;
+        # the marker file (forked workers share no memory) lets the
+        # restarted worker run clean.
+        marker = tmp_path / "raised"
+        real_run_epoch = AppMonitor.run_epoch
+
+        def run_epoch_raising_once(self, epoch, heartbeat=None):
+            def beat(app_id, fresh):
+                heartbeat(app_id, fresh)
+                if fresh == 3 and not marker.exists():
+                    marker.touch()
+                    raise RuntimeError("injected epoch failure")
+
+            return real_run_epoch(self, epoch, heartbeat=beat)
+
+        monkeypatch.setattr(AppMonitor, "run_epoch", run_epoch_raising_once)
+        runner = SupervisedEpochRunner(monitor, heartbeat_timeout_s=10.0)
+        with caplog.at_level("WARNING", logger="repro.crawler.monitor"):
+            runner.run_epoch(0)
+        journal.close()
+        assert marker.exists()
+        assert "injected epoch failure" in caplog.text
+        assert runner.restarts == 1
+        assert runner.inline_fallbacks == 0
+        assert monitor.export_history_bytes() == expected
+
+    def test_nonpositive_heartbeat_timeout_is_rejected(self, app_ids):
+        world = build_world()
+        monitor = AppMonitor(
+            world, make_crawler(world), app_ids[:5],
+            config=MonitorConfig(epochs=1),
+        )
+        for timeout in (0.0, -1.0):
+            with pytest.raises(ValueError, match="heartbeat_timeout_s"):
+                SupervisedEpochRunner(monitor, heartbeat_timeout_s=timeout)
+
     def test_no_journal_runs_inline_directly(self, app_ids):
         world = build_world()
         monitor = AppMonitor(

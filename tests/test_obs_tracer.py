@@ -32,16 +32,15 @@ class TestSpanTree:
         assert roots == [outer]  # only the outer span is a root
 
     def test_last_recording_wins_per_category_key(self):
-        # The scheduler's inline re-crawl after a discarded speculation
-        # re-records the same (category, key); the committed crawl's
-        # trace must be the one that survives.
+        # Re-recording the same (category, key) replaces the earlier
+        # recording; the latest one must be the one that survives.
         tracer = Tracer()
         with tracer.span("crawl.app", key="app1", t=0.0) as first:
-            first.note(which="speculation")
+            first.note(which="first")
         with tracer.span("crawl.app", key="app1", t=0.0) as second:
-            second.note(which="inline")
+            second.note(which="second")
         (root,) = tracer.roots()
-        assert root.attrs["which"] == "inline"
+        assert root.attrs["which"] == "second"
 
     def test_auto_keys_are_sequential_per_category_and_name(self):
         tracer = Tracer()

@@ -105,7 +105,7 @@ class TestInjection:
         crawler = faulty_crawler(small_world, ((0.0, 10_000.0),))
         app_id = live_app_ids(small_world, 1)[0]
         crawler.crawl_app(app_id)
-        assert crawler.transport.call_index_items() == []
+        assert crawler.transport.snapshot_state()["call_index"] == []
 
     def test_error_carries_resume_time(self, small_world):
         transport = faulty_crawler(
