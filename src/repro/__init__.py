@@ -40,7 +40,8 @@ is the injected process death the crash tests kill crawls with::
 """
 
 from repro.config import PAPER, PaperStats, ScaleConfig
-from repro.crawler.checkpoint import CrawlJournal, SimulatedCrash, atomic_write
+from repro.crawler.checkpoint import CrawlJournal, SimulatedCrash
+from repro.durable import atomic_write
 
 __version__ = "1.0.0"
 

@@ -45,6 +45,7 @@ import argparse
 import sys
 
 from repro.config import ScaleConfig
+from repro.durable import atomic_write
 
 __all__ = ["main", "build_parser"]
 
@@ -582,8 +583,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         snapshot["incidents"] = [inc.jsonable() for inc in incidents]
         if args.snapshot_out:
             import json
-
-            from repro.crawler.checkpoint import atomic_write
 
             atomic_write(
                 args.snapshot_out,

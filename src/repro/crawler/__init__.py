@@ -14,8 +14,9 @@ outcome records the crawler uses to survive them, and
 :mod:`repro.crawler.checkpoint` makes the whole crawl crash-safe: a
 write-ahead :class:`CrawlJournal` (an app is *durable* — survives any
 process kill — once its journal line is written, flushed, and fsynced),
-atomic snapshots via :func:`atomic_write`, and kill-anywhere resume
-with crash injection (:class:`CrashPlan` / :exc:`SimulatedCrash`).
+atomic snapshots via :func:`repro.durable.atomic_write`, and
+kill-anywhere resume with crash injection (:class:`CrashPlan` /
+:exc:`SimulatedCrash`).
 """
 
 from repro.crawler.socialbakers import SocialBakers
@@ -38,12 +39,8 @@ from repro.crawler.resilience import (
     RetryPolicy,
 )
 # checkpoint imports crawler.crawler, so it must come after it here.
-from repro.crawler.checkpoint import (
-    CrashPlan,
-    CrawlJournal,
-    SimulatedCrash,
-    atomic_write,
-)
+from repro.crawler.checkpoint import CrashPlan, CrawlJournal, SimulatedCrash
+from repro.durable import atomic_write
 
 __all__ = [
     "CrawlJournal",

@@ -5,14 +5,12 @@ crawl — a process that inevitably died and restarted many times.  PR 1
 made the crawler survive the *network* failing; this module makes it
 survive the *process* failing:
 
-* :func:`atomic_write` — the shared all-or-nothing file write (tmp file
-  + fsync + ``os.replace``) every persistent artifact goes through,
-* :class:`CrawlJournal` — an append-only JSONL write-ahead log.  Each
-  completed :class:`~repro.crawler.crawler.CrawlRecord` is one
-  self-delimiting, per-line-checksummed entry carrying the full record
-  *and* the transport/executor state needed to continue the crawl
-  deterministically.  Periodically the journal compacts into a single
-  checksummed snapshot file,
+* :class:`CrawlJournal` — an append-only write-ahead log in the
+  :mod:`repro.durable` line format.  Each completed
+  :class:`~repro.crawler.crawler.CrawlRecord` is one entry carrying the
+  full record *and* the transport/executor state needed to continue the
+  crawl deterministically.  Periodically the journal compacts into a
+  single checksummed snapshot file,
 * :class:`CrashPlan` / :exc:`SimulatedCrash` — seeded crash injection
   at configurable points inside the crawl loop, including *between*
   journal write and flush (the torn-write window).
@@ -30,10 +28,10 @@ uninterrupted one.
 
 Corruption policy
 -----------------
-A torn *final* journal line is the expected crash artifact and is
-silently truncated.  A checksum-mismatched *interior* line is moved to
-a ``.corrupt`` sidecar with a warning and its app is re-crawled — never
-a crash, never silent acceptance.
+Torn tails and interior corruption follow :mod:`repro.durable`.  On
+top of it the journal names the apps whose lines it quarantined, scrubs
+their fault bookkeeping from the restored state and re-crawls them;
+a damaged snapshot is quarantined whole and its apps re-crawled.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ import json
 import hashlib
 import logging
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -51,12 +48,20 @@ import numpy as np
 
 from repro.crawler.crawler import COLLECTIONS, CrawlRecord
 from repro.crawler.resilience import CrawlOutcome
+from repro.durable import (
+    atomic_write,
+    canonical,
+    decode_line,
+    encode_line,
+    next_sidecar_path,
+    quarantine,
+    scan,
+    sweep_tmp,
+)
 from repro.obs.observer import get_observer
 from repro.rng import derive_seed
 
 __all__ = [
-    "atomic_write",
-    "next_sidecar_path",
     "SimulatedCrash",
     "CrashPlan",
     "CrawlJournal",
@@ -70,61 +75,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-def atomic_write(path: str | Path, data: str | bytes) -> Path:
-    """Write *data* to *path* all-or-nothing.
-
-    The data goes to a temporary file in the same directory, is flushed
-    and ``fsync``\\ ed, and only then renamed over *path* with
-    ``os.replace`` — so readers (and crash recovery) see either the old
-    complete file or the new complete file, never a torn mixture.  The
-    directory entry is fsynced best-effort afterwards.
-    """
-    path = Path(path)
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    try:  # directory fsync makes the rename itself durable (best-effort)
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-    except OSError:  # pragma: no cover - platform-dependent
-        pass
-    return path
-
-
-def next_sidecar_path(path: str | Path) -> Path:
-    """The first unused quarantine sidecar name for *path*.
-
-    ``X.corrupt``, then ``X.corrupt.1``, ``X.corrupt.2``, … — each
-    quarantine event gets its own sidecar, so interrupting and resuming
-    a crawl repeatedly can never overwrite (or silently interleave
-    with) the evidence of an earlier corruption.
-    """
-    path = Path(path)
-    candidate = path.with_name(path.name + ".corrupt")
-    counter = 0
-    while candidate.exists():
-        counter += 1
-        candidate = path.with_name(f"{path.name}.corrupt.{counter}")
-    return candidate
 
 
 # -- crash injection --------------------------------------------------------
@@ -285,40 +235,7 @@ def record_from_jsonable(data: dict[str, Any]) -> CrawlRecord:
     )
 
 
-# -- line / snapshot encoding ----------------------------------------------
-
 _LINE_VERSION = 1
-
-
-def _canonical(payload: dict) -> bytes:
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-
-
-def _encode_line(payload: dict) -> bytes:
-    body = _canonical(payload)
-    digest = hashlib.sha256(body).hexdigest().encode("ascii")
-    return digest + b"\t" + body + b"\n"
-
-
-def _decode_line(line: bytes) -> dict | None:
-    """Parse one journal line; ``None`` if torn or checksum-mismatched."""
-    try:
-        digest, body = line.split(b"\t", 1)
-    except ValueError:
-        return None
-    if len(digest) != 64:
-        return None
-    if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
-        return None
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if not isinstance(payload, dict) or "app_id" not in payload:
-        return None
-    return payload
 
 
 class CrawlJournal:
@@ -378,7 +295,7 @@ class CrawlJournal:
                 "data; pass resume=True (CLI: --resume) to continue it, or "
                 "point --checkpoint at a fresh directory"
             )
-        self._sweep_tmp_files()
+        sweep_tmp(self.directory)
         self._load()
         self._fh = open(self.journal_path, "ab")
 
@@ -402,14 +319,6 @@ class CrawlJournal:
             for p in (self.journal_path, self.snapshot_path)
         )
 
-    def _sweep_tmp_files(self) -> None:
-        """Remove half-written ``*.tmp`` leftovers of interrupted writes."""
-        for tmp in self.directory.glob("*.tmp"):
-            try:
-                tmp.unlink()
-            except OSError:  # pragma: no cover - racy cleanup
-                pass
-
     # -- loading -----------------------------------------------------------
 
     def _load(self) -> None:
@@ -423,7 +332,7 @@ class CrawlJournal:
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
             payload = doc["payload"]
-            if hashlib.sha256(_canonical(payload)).hexdigest() != doc["sha256"]:
+            if hashlib.sha256(canonical(payload)).hexdigest() != doc["sha256"]:
                 raise ValueError("snapshot checksum mismatch")
             records = {e["app_id"]: e for e in payload["records"]}
             state = payload["state"]
@@ -442,25 +351,7 @@ class CrawlJournal:
         path = self.journal_path
         if not path.exists():
             return
-        raw = path.read_bytes()
-        if not raw:
-            return
-        pieces = raw.split(b"\n")
-        tail = pieces.pop()  # b"" when the file ends with a newline
-        torn = bool(tail)
-        good: list[tuple[bytes, dict]] = []
-        bad: list[bytes] = []
-        for index, piece in enumerate(pieces):
-            payload = _decode_line(piece)
-            if payload is None:
-                if index == len(pieces) - 1:
-                    # A corrupt *final* line is the torn-write artifact
-                    # of a crash mid-append: truncate it silently.
-                    torn = True
-                else:
-                    bad.append(piece)
-                continue
-            good.append((piece, payload))
+        good, bad, torn = scan(path.read_bytes(), self.decode)
         for _, payload in good:
             self._records[payload["app_id"]] = payload["record"]
         if good:
@@ -474,14 +365,14 @@ class CrawlJournal:
             atomic_write(path, b"".join(piece + b"\n" for piece, _ in good))
             self.truncated_torn_line = torn
 
+    @staticmethod
+    def decode(line: bytes) -> dict | None:
+        """One journal entry; ``None`` if damaged or not naming an app."""
+        payload = decode_line(line)
+        return payload if payload is not None and "app_id" in payload else None
+
     def _quarantine_lines(self, lines: list[bytes]) -> None:
-        # A fresh counter-suffixed sidecar per quarantine event: resuming
-        # twice must leave both corruption artifacts intact, never
-        # overwrite or interleave them.
-        corrupt_path = next_sidecar_path(self.journal_path)
-        with open(corrupt_path, "wb") as sidecar:
-            for line in lines:
-                sidecar.write(line + b"\n")
+        corrupt_path = quarantine(self.journal_path, lines)
         claimed = []
         for line in lines:
             try:  # best-effort: name the app if the payload still parses
@@ -531,44 +422,6 @@ class CrawlJournal:
         """The crawler state after the last durable app (``None`` if empty)."""
         return self._state
 
-    # -- configuration fingerprint ----------------------------------------
-
-    def validate_fingerprint(self, fingerprint: dict) -> None:
-        """Refuse to mix crawls from different configurations.
-
-        The first crawl stamps ``meta.json`` with its fingerprint (seed,
-        scale, fault plan, retry policy); later opens must match it, or
-        resuming would silently splice records from incompatible runs.
-        """
-        stored = None
-        if self.meta_path.exists():
-            try:
-                stored = json.loads(
-                    self.meta_path.read_text(encoding="utf-8")
-                ).get("fingerprint")
-            except (ValueError, UnicodeDecodeError):
-                logger.warning(
-                    "checkpoint meta %s is corrupt; rewriting it from the "
-                    "current configuration", self.meta_path,
-                )
-        if stored is not None:
-            if stored != fingerprint:
-                raise ValueError(
-                    f"checkpoint at {self.directory} was written under a "
-                    f"different configuration.\n  stored:  {stored}\n"
-                    f"  current: {fingerprint}\nResume with the original "
-                    "settings, or start a fresh --checkpoint directory."
-                )
-            return
-        atomic_write(
-            self.meta_path,
-            json.dumps(
-                {"format_version": 1, "fingerprint": fingerprint},
-                indent=1,
-                sort_keys=True,
-            ),
-        )
-
     # -- writing -----------------------------------------------------------
 
     def append(
@@ -590,7 +443,7 @@ class CrawlJournal:
             "record": record_to_jsonable(record),
             "state": state,
         }
-        line = _encode_line(payload)
+        line = encode_line(payload)
         if tear:
             self._fh.write(line[: max(1, 2 * len(line) // 3)])
             self._fh.flush()
@@ -639,7 +492,7 @@ class CrawlJournal:
             "count": len(self._records),
         }
         doc = {
-            "sha256": hashlib.sha256(_canonical(payload)).hexdigest(),
+            "sha256": hashlib.sha256(canonical(payload)).hexdigest(),
             "payload": payload,
         }
         atomic_write(self.snapshot_path, json.dumps(doc))

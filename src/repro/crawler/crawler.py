@@ -38,6 +38,7 @@ from repro.crawler.resilience import (
     ResilientExecutor,
     RetryPolicy,
 )
+from repro.durable import check_fingerprint
 from repro.obs.observer import get_observer
 from repro.platform.transport import (
     DirectTransport,
@@ -289,7 +290,9 @@ class AppCrawler:
         if journal is None:
             pending = sorted(app_ids)
         else:
-            journal.validate_fingerprint(self.checkpoint_fingerprint())
+            check_fingerprint(
+                journal.meta_path, self.checkpoint_fingerprint(), "checkpoint"
+            )
             replayed = journal.records
             for app_id in sorted(app_ids):
                 if app_id in replayed:

@@ -14,21 +14,21 @@ Robustness is the contract, not a feature:
 
 * **Kill-anywhere resume.** Every observation (and each epoch's
   dispatch plan) is one checksummed, fsynced line in a
-  :class:`MonitorJournal` — the PR 2 WAL machinery
-  (:mod:`repro.crawler.checkpoint` line format, atomic writes,
-  quarantine sidecars).  The line carries the crawler state, the
-  scheduler state, and the epoch cursor, so SIGKILL at any instant
-  resumes to a byte-identical history store and schedule.
+  :class:`MonitorJournal` — a :mod:`repro.durable` log.  The line
+  carries the crawler state, the scheduler state, and the epoch
+  cursor, so SIGKILL at any instant resumes to a byte-identical history
+  store and schedule.
 * **Blackout backpressure.**  Before dispatching an app the monitor
   polls the transport for an active blackout window
   (:meth:`FaultyTransport.active_blackout`); inside one it *pauses* —
   jumps the simulated clock to the window's end and counts a
   scheduler-level pause — instead of crawling into the outage and
   burning retry budgets and breaker state.
-* **Quarantine, never halt.**  Corrupt or contradictory history
-  entries (checksum mismatches, conflicting duplicates, observations
-  that resurrect an app after a recorded deletion) are moved to
-  ``.corrupt`` sidecars and the loop continues.
+* **Quarantine, never halt.**  Besides the :mod:`repro.durable`
+  torn-tail and corruption policy, contradictory history entries
+  (conflicting duplicates, observations that resurrect an app after a
+  recorded deletion) are moved to ``.corrupt`` sidecars and the loop
+  continues.
 * **Supervised epochs.**  :class:`SupervisedEpochRunner` forks each
   epoch into a worker, watches its heartbeats, restarts hung or dead
   workers with backoff, and unconditionally falls back to inline
@@ -42,7 +42,6 @@ same dispatch order, same per-app calls, byte-identical records.
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import os
 import signal
@@ -52,17 +51,22 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.crawler.checkpoint import (
-    _canonical,
-    _decode_line,
-    _encode_line,
-    atomic_write,
-    next_sidecar_path,
+    CrawlJournal,
     record_from_jsonable,
     record_to_jsonable,
 )
 from repro.crawler.crawler import AppCrawler, CrawlRecord
 from repro.crawler.recrawl import RecrawlScheduler
 from repro.crawler.resilience import PERMANENT
+from repro.durable import (
+    atomic_write,
+    canonical,
+    check_fingerprint,
+    encode_line,
+    quarantine,
+    scan,
+    sweep_tmp,
+)
 from repro.ecosystem.app_lifecycle import LifecycleScript
 from repro.obs.observer import get_observer
 
@@ -87,9 +91,6 @@ logger = logging.getLogger(__name__)
 #: (``kill:<observation_index>`` or ``hang:<observation_index>``) so
 #: CLI/CI runs can inject mid-epoch deaths without code
 MONITOR_CHAOS_ENV = "REPRO_MONITOR_CHAOS"
-
-#: sentinel app_id of a journaled epoch dispatch plan
-_PLAN_SENTINEL = "__plan__"
 
 #: the forensic event taxonomy (DESIGN.md §12)
 FORENSIC_EVENT_KINDS = (
@@ -154,19 +155,23 @@ class MonitorReport:
 class MonitorJournal:
     """The monitor's WAL: observations + epoch plans, one line each.
 
-    Reuses the checkpoint journal's self-delimiting line format (sha256
-    digest + tab + canonical JSON + newline, fsync per append) and its
-    corruption policy: a torn *final* line is the expected crash
-    artifact and is silently truncated; any other invalid line — bad
-    checksum, malformed schema, a duplicate ``(epoch, app_id)`` with
-    conflicting content, or an observation that contradicts recorded
-    history (an app alive again after a journaled deletion event) — is
-    quarantined to a counter-suffixed ``.corrupt`` sidecar and the loop
-    continues without it.
+    A :mod:`repro.durable` log with the checkpoint journal's entry
+    schema (fsync per append), read under its torn-tail and corruption
+    policy.  On top of it every decoded entry must pass the history's
+    admission checks: a malformed schema, a duplicate ``(epoch,
+    app_id)`` with conflicting content, or an observation that
+    contradicts recorded history (an app alive again after a journaled
+    deletion event) is quarantined to the same sidecar — even on the
+    final line — and the loop continues without it.  An identical
+    duplicate is dropped.
     """
 
     JOURNAL_NAME = "monitor.jsonl"
     META_NAME = "meta.json"
+    #: app_id of a journaled epoch dispatch plan
+    PLAN_SENTINEL = "__plan__"
+    #: one line's entry, or ``None`` if damaged
+    decode = staticmethod(CrawlJournal.decode)
 
     def __init__(self, directory: str | Path, resume: bool = True) -> None:
         self.directory = Path(directory)
@@ -188,11 +193,7 @@ class MonitorJournal:
                 "pass resume=True (CLI: --resume) to continue it, or point "
                 "--checkpoint at a fresh directory"
             )
-        for tmp in self.directory.glob("*.tmp"):
-            try:
-                tmp.unlink()
-            except OSError:  # pragma: no cover - racy cleanup
-                pass
+        sweep_tmp(self.directory)
         self._load()
         self._fh = open(self.journal_path, "ab")
 
@@ -210,22 +211,9 @@ class MonitorJournal:
         path = self.journal_path
         if not path.exists():
             return
-        raw = path.read_bytes()
-        if not raw:
-            return
-        pieces = raw.split(b"\n")
-        tail = pieces.pop()  # b"" when the file ends with a newline
-        torn = bool(tail)
+        decoded, bad, torn = scan(path.read_bytes(), self.decode)
         good: list[tuple[bytes, dict]] = []
-        bad: list[bytes] = []
-        for index, piece in enumerate(pieces):
-            payload = _decode_line(piece)
-            if payload is None:
-                if index == len(pieces) - 1:
-                    torn = True  # torn-write artifact: truncate silently
-                else:
-                    bad.append(piece)
-                continue
+        for piece, payload in decoded:
             problem = self._admit(payload)
             if problem is None:
                 good.append((piece, payload))
@@ -239,17 +227,14 @@ class MonitorJournal:
                 )
                 bad.append(piece)
         if bad:
-            sidecar = next_sidecar_path(path)
-            with open(sidecar, "wb") as handle:
-                for piece in bad:
-                    handle.write(piece + b"\n")
+            sidecar = quarantine(path, bad)
             self.quarantined = len(bad)
             logger.warning(
                 "quarantined %d corrupt/contradictory monitor line(s) in "
                 "%s to sidecar %s; the monitor continues without them",
                 len(bad), path, sidecar,
             )
-        if bad or torn or len(good) != max(0, len(pieces) - (1 if torn else 0)):
+        if bad or torn or len(good) != len(decoded):
             # Absorb the damage once: rewrite to exactly the survivors.
             atomic_write(path, b"".join(piece + b"\n" for piece, _ in good))
             self.truncated_torn_line = torn
@@ -260,7 +245,7 @@ class MonitorJournal:
         app_id = payload.get("app_id")
         if not isinstance(epoch, int) or epoch < 0 or not isinstance(app_id, str):
             return "malformed"
-        if app_id == _PLAN_SENTINEL:
+        if app_id == self.PLAN_SENTINEL:
             plan = payload.get("plan")
             if not isinstance(plan, list):
                 return "malformed"
@@ -312,7 +297,7 @@ class MonitorJournal:
         """Each app's most recent durable observation, decoded fresh."""
         latest: dict[str, dict] = {}
         for entry in self.entries:
-            if entry["app_id"] != _PLAN_SENTINEL:
+            if entry["app_id"] != self.PLAN_SENTINEL:
                 latest[entry["app_id"]] = entry["record"]
         return {
             app_id: record_from_jsonable(data)
@@ -323,7 +308,7 @@ class MonitorJournal:
         """All durable observations of one app, oldest first."""
         return [
             e for e in self.entries
-            if e["app_id"] == app_id and e["app_id"] != _PLAN_SENTINEL
+            if e["app_id"] == app_id and e["app_id"] != self.PLAN_SENTINEL
         ]
 
     def forensic_events(self) -> list[ForensicEvent]:
@@ -338,45 +323,12 @@ class MonitorJournal:
                 ))
         return events
 
-    # -- fingerprint -------------------------------------------------------
-
-    def validate_fingerprint(self, fingerprint: dict) -> None:
-        """Refuse to splice monitoring runs from different configurations."""
-        stored = None
-        if self.meta_path.exists():
-            try:
-                stored = json.loads(
-                    self.meta_path.read_text(encoding="utf-8")
-                ).get("fingerprint")
-            except (ValueError, UnicodeDecodeError):
-                logger.warning(
-                    "monitor meta %s is corrupt; rewriting it from the "
-                    "current configuration", self.meta_path,
-                )
-        if stored is not None:
-            if stored != fingerprint:
-                raise ValueError(
-                    f"monitor history at {self.directory} was written under "
-                    f"a different configuration.\n  stored:  {stored}\n"
-                    f"  current: {fingerprint}\nResume with the original "
-                    "settings, or start a fresh directory."
-                )
-            return
-        atomic_write(
-            self.meta_path,
-            json.dumps(
-                {"format_version": 1, "fingerprint": fingerprint},
-                indent=1,
-                sort_keys=True,
-            ),
-        )
-
     # -- writing -----------------------------------------------------------
 
     def _append(self, payload: dict) -> None:
         if self._fh is None:
             raise RuntimeError("monitor journal is closed")
-        line = _encode_line(payload)
+        line = encode_line(payload)
         self._fh.write(line)
         self._fh.flush()
         os.fsync(self._fh.fileno())
@@ -390,7 +342,7 @@ class MonitorJournal:
         """
         payload = {
             "v": 1,
-            "app_id": _PLAN_SENTINEL,
+            "app_id": self.PLAN_SENTINEL,
             "epoch": epoch,
             "plan": list(plan),
             "state": state,
@@ -495,7 +447,9 @@ class AppMonitor:
         #: forensic tallies per app (feeds FeatureExtractor.set_forensics)
         self.forensic_tallies: dict[str, dict[str, int]] = {}
         if self._journal is not None:
-            self._journal.validate_fingerprint(self.fingerprint())
+            check_fingerprint(
+                self._journal.meta_path, self.fingerprint(), "monitor history"
+            )
             self._restore_from_journal()
 
     # -- identity ----------------------------------------------------------
@@ -795,7 +749,7 @@ class AppMonitor:
         observations = (
             sum(
                 1 for e in self._journal.entries
-                if e["app_id"] != _PLAN_SENTINEL
+                if e["app_id"] != MonitorJournal.PLAN_SENTINEL
             )
             if self._journal is not None else 0
         )
@@ -817,16 +771,16 @@ class AppMonitor:
         interrupted-and-resumed run must produce these bytes exactly.
         """
         if self._journal is None:
-            return _canonical({"entries": []})
-        return _canonical({"entries": self._journal.entries})
+            return canonical({"entries": []})
+        return canonical({"entries": self._journal.entries})
 
     def export_dataset_bytes(self) -> bytes:
         """Canonical bytes of the latest record per app (the dataset)."""
         latest: dict[str, dict] = {}
         for entry in (self._journal.entries if self._journal else []):
-            if entry["app_id"] != _PLAN_SENTINEL:
+            if entry["app_id"] != MonitorJournal.PLAN_SENTINEL:
                 latest[entry["app_id"]] = entry["record"]
-        return _canonical({
+        return canonical({
             "records": [latest[app_id] for app_id in sorted(latest)]
         })
 

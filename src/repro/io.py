@@ -16,7 +16,7 @@ Format versions
     memory via :func:`migrate_dataset_v1_to_v2`; re-exporting writes v2.
 
 Exports are written through
-:func:`~repro.crawler.checkpoint.atomic_write`, so a crash mid-export
+:func:`~repro.durable.atomic_write`, so a crash mid-export
 leaves the previous complete file (or nothing), never a torn one.
 
 Lossy by design: ``profile_posts`` are exported as a *count* only and
@@ -33,9 +33,9 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.crawler.checkpoint import atomic_write
 from repro.crawler.crawler import CrawlRecord
 from repro.crawler.resilience import CrawlOutcome
+from repro.durable import atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.pipeline import PipelineResult

@@ -17,7 +17,7 @@ deterministic pipeline:
 
 Two export formats: JSONL (one metric series per line) and a
 Prometheus-style text dump, both written via
-:func:`~repro.crawler.checkpoint.atomic_write`.
+:func:`~repro.durable.atomic_write`.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ import math
 import threading
 from bisect import bisect_left
 from typing import Any
+
+from repro.durable import atomic_write
 
 __all__ = ["Histogram", "MetricsRegistry", "DEFAULT_SECONDS_EDGES"]
 
@@ -218,8 +220,6 @@ class MetricsRegistry:
 
     def export(self, jsonl_path=None, prometheus_path=None) -> list:
         """Atomically write the requested dump formats; returns the paths."""
-        from repro.crawler.checkpoint import atomic_write
-
         written = []
         if jsonl_path is not None:
             written.append(atomic_write(jsonl_path, self.to_jsonl()))

@@ -29,6 +29,8 @@ import json
 import threading
 from typing import Any
 
+from repro.durable import atomic_write
+
 __all__ = ["TraceEvent", "Span", "NULL_SPAN", "Tracer"]
 
 
@@ -236,6 +238,4 @@ class Tracer:
         self, path, categories: tuple[str, ...] | None = None
     ):
         """Write the canonical trace to *path* atomically; returns the path."""
-        from repro.crawler.checkpoint import atomic_write
-
         return atomic_write(path, self.to_jsonl(categories))

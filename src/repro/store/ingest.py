@@ -6,12 +6,12 @@ already holds is detected before any write begins and changes zero
 bytes — ingestion is idempotent by construction, so crash-and-rerun
 loops (the operational norm) can re-offer everything blindly.
 
-Corruption policy (same stance as the crawl WAL): a torn *final* line
-of a JSONL input is the expected crash artifact and is silently
-dropped; an unparseable *interior* line is quarantined to a
-counter-suffixed ``.corrupt`` sidecar next to the input and ingestion
-continues with the survivors.  The content hash is computed over the
-survivors, so re-ingesting a repaired input is still a no-op.
+JSONL inputs are read under the :mod:`repro.durable` torn-tail and
+corruption policy, with one rule of the store's own: inputs are
+read-only.  Damaged lines are quarantined to a sidecar next to the
+input, but the input itself is never rewritten; the content hash is
+computed over the survivors, so re-ingesting a repaired input is still
+a no-op.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
-from repro.crawler.checkpoint import _decode_line, next_sidecar_path
+from repro.crawler.monitor import MonitorJournal
+from repro.durable import quarantine, scan
 from repro.obs.observer import TracingObserver
 from repro.store.db import AnalyticsStore, canonical_json, content_sha256
 
@@ -70,49 +71,37 @@ class IngestResult:
 # -- tolerant JSONL reading --------------------------------------------------
 
 
+def _json_object(line: bytes) -> dict | None:
+    try:
+        payload = json.loads(line)
+    except ValueError:
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
 def read_jsonl_tolerant(
     path: str | Path,
+    decode: Callable[[bytes], dict | None] = _json_object,
 ) -> tuple[list[dict], bytes, bool, int]:
     """Read a JSONL artifact the way the crawl WAL reads its journal.
 
     Returns ``(rows, clean_bytes, torn, quarantined)`` where
     ``clean_bytes`` is exactly the surviving lines (the idempotency-key
-    material), ``torn`` flags a dropped unterminated/unparseable final
-    line, and ``quarantined`` counts interior lines moved to a
-    ``.corrupt`` sidecar.
+    material), ``torn`` flags a dropped torn final line, and
+    ``quarantined`` counts interior lines moved to a ``.corrupt``
+    sidecar.  *decode* parses one line (plain JSON objects by default).
     """
     path = Path(path)
-    raw = path.read_bytes()
-    pieces = raw.split(b"\n")
-    tail = pieces.pop()  # b"" when the file ends with a newline
-    torn = bool(tail)
-    rows: list[dict] = []
-    good: list[bytes] = []
-    bad: list[bytes] = []
-    for index, piece in enumerate(pieces):
-        try:
-            payload = json.loads(piece)
-            if not isinstance(payload, dict):
-                raise ValueError("not an object")
-        except ValueError:
-            if index == len(pieces) - 1:
-                torn = True  # torn-write artifact: truncate silently
-            else:
-                bad.append(piece)
-            continue
-        rows.append(payload)
-        good.append(piece)
+    good, bad, torn = scan(path.read_bytes(), decode)
     if bad:
-        sidecar = next_sidecar_path(path)
-        with open(sidecar, "wb") as handle:
-            for piece in bad:
-                handle.write(piece + b"\n")
+        sidecar = quarantine(path, bad)
         logger.warning(
             "quarantined %d corrupt line(s) of %s to sidecar %s; "
             "ingesting the %d survivors",
             len(bad), path, sidecar, len(good),
         )
-    return rows, b"".join(p + b"\n" for p in good), torn, len(bad)
+    rows = [payload for _, payload in good]
+    return rows, b"".join(p + b"\n" for p, _ in good), torn, len(bad)
 
 
 # -- traces ------------------------------------------------------------------
@@ -417,50 +406,25 @@ def ingest_incidents(
 def ingest_monitor_history(
     store: AnalyticsStore, directory: str | Path, label: str | None = None
 ) -> IngestResult:
-    """Ingest a monitor history store (the ``monitor.jsonl`` WAL).
+    """Ingest a monitor history store (its :class:`MonitorJournal` WAL).
 
-    Read-only: the journal is decoded with the WAL's own checksummed
-    line format (torn final line dropped, checksum-failed interior
-    lines quarantined to a sidecar) but never rewritten — the monitor
-    owns its journal; the analytics store only observes it.
+    Read-only: the journal is decoded with the monitor's own line
+    decode but never rewritten — the monitor owns its journal; the
+    analytics store only observes it.
     """
     directory = Path(directory)
-    path = directory / "monitor.jsonl"
+    path = directory / MonitorJournal.JOURNAL_NAME
     label = label if label is not None else str(directory)
-    raw = path.read_bytes() if path.exists() else b""
-    pieces = raw.split(b"\n")
-    tail = pieces.pop()
-    torn = bool(tail)
-    entries: list[dict] = []
-    good: list[bytes] = []
-    bad: list[bytes] = []
-    for index, piece in enumerate(pieces):
-        payload = _decode_line(piece)
-        if payload is None:
-            if index == len(pieces) - 1:
-                torn = True
-            else:
-                bad.append(piece)
-            continue
-        entries.append(payload)
-        good.append(piece)
-    quarantined = 0
-    if bad:
-        sidecar = next_sidecar_path(path)
-        with open(sidecar, "wb") as handle:
-            for piece in bad:
-                handle.write(piece + b"\n")
-        quarantined = len(bad)
-        logger.warning(
-            "quarantined %d corrupt monitor line(s) of %s to sidecar %s",
-            quarantined, path, sidecar,
-        )
-    sha = content_sha256(b"".join(p + b"\n" for p in good))
+    entries, clean, torn, quarantined = (
+        read_jsonl_tolerant(path, MonitorJournal.decode)
+        if path.exists() else ([], b"", False, 0)
+    )
+    sha = content_sha256(clean)
     observation_rows: list[tuple] = []
     event_rows: list[tuple] = []
     for entry in entries:
         app_id = entry.get("app_id")
-        if not isinstance(app_id, str) or app_id == "__plan__":
+        if not isinstance(app_id, str) or app_id == MonitorJournal.PLAN_SENTINEL:
             continue
         record = entry.get("record")
         if not isinstance(record, dict):

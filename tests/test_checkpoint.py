@@ -21,13 +21,12 @@ from repro.crawler.checkpoint import (
     CrashPlan,
     CrawlJournal,
     SimulatedCrash,
-    atomic_write,
-    next_sidecar_path,
     record_from_jsonable,
     record_to_jsonable,
 )
 from repro.crawler.crawler import make_crawler
 from repro.crawler.datasets import DatasetBuilder
+from repro.durable import atomic_write, next_sidecar_path
 from repro.ecosystem.simulation import run_simulation
 from repro.mypagekeeper.classifier import UrlClassifier
 from repro.mypagekeeper.monitor import MyPageKeeper

@@ -27,10 +27,7 @@ import json
 import pytest
 
 from repro.config import ScaleConfig
-from repro.crawler.checkpoint import (
-    _encode_line,
-    record_to_jsonable,
-)
+from repro.crawler.checkpoint import record_to_jsonable
 from repro.crawler.crawler import make_crawler
 from repro.crawler.datasets import DatasetBuilder
 from repro.crawler.monitor import (
@@ -47,6 +44,7 @@ from repro.crawler.recrawl import (
     TieredPolicy,
     TierLadder,
 )
+from repro.durable import encode_line
 from repro.ecosystem.app_lifecycle import LifecycleScript
 from repro.ecosystem.simulation import run_simulation
 from repro.mypagekeeper.classifier import UrlClassifier
@@ -380,7 +378,7 @@ class TestJournalQuarantine:
         path = directory / MonitorJournal.JOURNAL_NAME
         with open(path, "wb") as handle:
             for payload in payloads:
-                handle.write(_encode_line(payload))
+                handle.write(encode_line(payload))
             handle.write(raw_suffix)
         return path
 

@@ -26,7 +26,7 @@ import pytest
 
 from repro.config import ScaleConfig
 from repro.core.pipeline import FrappePipeline
-from repro.crawler.checkpoint import _encode_line
+from repro.durable import encode_line
 from repro.service import (
     LoadProfile,
     estimate_capacity_rps,
@@ -354,7 +354,7 @@ def write_monitor_journal(directory: Path, entries: list[dict]) -> Path:
     path = directory / "monitor.jsonl"
     with open(path, "wb") as handle:
         for entry in entries:
-            handle.write(_encode_line(entry))
+            handle.write(encode_line(entry))
     return path
 
 
