@@ -107,7 +107,7 @@ def test_perf_batched_service_throughput(benchmark, result):
         # so every round (and every later benchmark) sees the same state
         state = result.world.installer.rng_state()
         try:
-            service = make_service(result, ServiceConfig(batch_size=8))
+            service = make_service(result, ServiceConfig(batch_max=8))
             return service.serve(list(requests))
         finally:
             result.world.installer.restore_rng_state(state)

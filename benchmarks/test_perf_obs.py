@@ -79,7 +79,7 @@ def _serve_once(result, observer):
     diagnostic: per-request spans plus the crawl layer's per-attempt
     events."""
     service = make_service(
-        result, ServiceConfig(batch_size=BATCH_SIZE, max_queue_depth=32)
+        result, ServiceConfig(batch_max=BATCH_SIZE, max_queue_depth=32)
     )
     profile = LoadProfile(
         n_requests=400, rate_rps=0.5, pool_size=200, seed=SEED

@@ -2,7 +2,7 @@
 
 Every optimisation in this codebase keeps its naive reference path
 alive (``FeatureExtractor.vector``, ``cluster_names(kernel="naive")``,
-``name_similarity``, ``_smo(row_cache=False)``, ``batch_size=1``)
+``name_similarity``, ``_smo(row_cache=False)``, ``batch_max=1``)
 because exactness is asserted against it.  This harness turns those
 pairs into a regression gate: each component is timed fast-vs-reference
 on an identical deterministic workload, and the *speedup ratios* go

@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="adaptive continuous-batching cap: a tick drains up to "
              "this many requests, batch growing with queue depth and "
              "shrinking when deadline headroom is tight (default 1 = "
-             "the unbatched historical path)",
+             "one request per tick)",
     )
     serve.add_argument(
         "--snapshot-out", metavar="FILE", default=None,
@@ -610,11 +610,20 @@ class _InvertedCascade:
     def __init__(self, cascade) -> None:
         self._cascade = cascade
 
-    def score_record(self, record):
-        prediction, margin, tier = self._cascade.score_record(record)
+    @staticmethod
+    def _invert(prediction, margin, tier):
         if tier in ("frappe", "lite"):
             return 1 - prediction, -margin, tier
         return prediction, margin, tier
+
+    def score_record(self, record):
+        return self._invert(*self._cascade.score_record(record))
+
+    def score_batch(self, records):
+        return [
+            self._invert(*scored)
+            for scored in self._cascade.score_batch(records)
+        ]
 
 
 def _build_canary_rollout(service, kind: str):

@@ -323,40 +323,22 @@ class ServiceConfig:
     cache_hit_cost_s: float = 0.01
     #: simulated CPU cost of feature extraction + SVM evaluation
     score_cost_s: float = 0.05
-    #: queued same-priority requests drained into one batched
-    #: crawl+extract+predict pass per service tick; 1 = the historical
-    #: one-request-per-tick loop, bit-identical to previous releases
-    batch_size: int = 1
-    #: upper bound of the *adaptive* continuous-batching controller
-    #: (:func:`repro.service.admission.plan_batch`); 1 = adaptive
-    #: batching off.  When > 1 each tick drains a planned batch whose
-    #: size grows with queue depth and shrinks when deadline headroom
-    #: is tight — this supersedes the fixed ``batch_size`` drain, and
-    #: ``batch_max=1`` remains the literal historical unbatched path.
+    #: upper bound of the continuous-batching controller
+    #: (:func:`repro.service.admission.plan_batch`): each tick drains a
+    #: planned batch whose size grows with queue depth and shrinks when
+    #: deadline headroom is tight.  Above 1 a tick's scoring overlaps
+    #: the next tick's crawl I/O; 1 = one request per tick, scored in
+    #: line.
     batch_max: int = 1
-    #: per-request service-time estimate the adaptive controller weighs
-    #: deadline headroom against (simulated seconds)
-    batch_headroom_s: float = 5.0
-    #: overlap a tick's scoring with the next tick's crawl I/O on the
-    #: simulated clock (only active when batch_max > 1)
-    overlap: bool = True
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
             raise ValueError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
             )
-        if self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
         if self.batch_max < 1:
             raise ValueError(
                 f"batch_max must be >= 1, got {self.batch_max}"
-            )
-        if self.batch_headroom_s <= 0:
-            raise ValueError(
-                f"batch_headroom_s must be positive, got {self.batch_headroom_s}"
             )
         for name in (
             "interactive_deadline_s",

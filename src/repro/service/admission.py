@@ -25,7 +25,7 @@ from collections import Counter
 
 from repro.service.types import PRIORITIES, BatchPlan, ScoreRequest
 
-__all__ = ["AdmissionQueue", "plan_batch"]
+__all__ = ["AdmissionQueue", "BATCH_HEADROOM_S", "plan_batch"]
 
 
 class AdmissionQueue:
@@ -170,6 +170,11 @@ class AdmissionQueue:
         if offered == 0:
             return 0.0
         return self.shed_counts[priority] / offered
+
+
+#: per-request service-time estimate (simulated seconds) the serving
+#: tick passes to :func:`plan_batch` as ``service_estimate_s``
+BATCH_HEADROOM_S = 5.0
 
 
 def plan_batch(

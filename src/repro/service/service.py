@@ -27,7 +27,12 @@ while a background refresh (priority ``refresh``, sheddable, debited to
 the same simulated clock) revalidates them, and authoritative
 ``PERMANENT`` removals are negative-cached for much longer.
 
-With ``fault_rate == 0``, a cold cache, and one request at a time, the
+Every request is served by one scheduling tick: :func:`plan_batch`
+sizes a batch (up to ``ServiceConfig.batch_max``), and the tick crawls
+its cache misses one by one and scores them in one
+:meth:`~repro.core.frappe.FrappeCascade.score_batch` pass.
+
+With ``fault_rate == 0``, a cold cache, and ``batch_max=1``, the
 service's verdicts are bit-identical to
 :meth:`repro.core.frappe.FrappeCascade.predict` over the same records —
 the whole overload machinery is a strict no-op on the verdict itself.
@@ -51,7 +56,11 @@ from repro.crawler.resilience import (
 )
 from repro.obs.observer import get_observer
 from repro.platform.transport import TransportStats
-from repro.service.admission import AdmissionQueue, plan_batch
+from repro.service.admission import (
+    BATCH_HEADROOM_S,
+    AdmissionQueue,
+    plan_batch,
+)
 from repro.service.bulkhead import Bulkhead
 from repro.service.cache import FRESH, MISS, STALE, CacheEntry, VerdictCache
 from repro.service.rollout import RolloutController
@@ -375,7 +384,7 @@ class VerdictService:
         self._report = ServiceReport(queue_bound=self.config.max_queue_depth)
         #: simulated instant the (overlapped) scoring stage is busy
         #: until; stays 0.0 — and the whole overlap machinery inert —
-        #: unless adaptive batching (batch_max > 1) is on
+        #: at batch_max=1
         self._score_busy_until = 0.0
 
     # -- clock -------------------------------------------------------------
@@ -411,7 +420,9 @@ class VerdictService:
             priority=priority,
             sequence=self._next_sequence(),
         )
-        response = self._handle(request)
+        # No next tick to overlap with: the score cost lands on the
+        # clock before the response completes.
+        [(_, response)] = self._handle_batch([request], overlap=False)
         # One-shot mode has no serve loop to run scheduled background
         # refreshes; drain them now (after the response is complete, so
         # its latency is untouched — the cost still lands on the clock).
@@ -442,12 +453,12 @@ class VerdictService:
     def _sync_scorer(self, horizon_s: float | None = None) -> None:
         """Advance the clock into outstanding overlapped score work.
 
-        With overlap on, a tick's scoring runs concurrently (on the
+        At ``batch_max > 1`` a tick's scoring runs concurrently (on the
         simulated clock) with the next tick's crawl I/O, so the clock
         is not advanced when the score cost is incurred.  Whenever the
         worker would otherwise go idle — or the run ends — the clock
         catches up to the scorer here, up to ``horizon_s`` (e.g. the
-        next arrival).  A strict no-op unless overlap charged work.
+        next arrival).  A strict no-op at ``batch_max=1``.
         """
         pending = self._score_busy_until - self.now_s
         if pending <= 0.0:
@@ -569,32 +580,6 @@ class VerdictService:
 
     # -- request handling ----------------------------------------------------
 
-    def _handle(self, request: ScoreRequest) -> VerdictResponse:
-        started = self.now_s
-        obs = get_observer()
-        with obs.span(
-            "serve.request",
-            key=f"{request.sequence:06d}",
-            category="serve",
-            t=started,
-            app_id=request.app_id,
-            priority=request.priority,
-        ) as span, obs.profile("serve"):
-            response = self._dispatch(request, started)
-            if obs.enabled:
-                self._note_response(obs, span, response)
-        return response
-
-    def _dispatch(self, request: ScoreRequest, started: float) -> VerdictResponse:
-        if started > request.deadline_at:
-            return self._expired(request, started)
-        if request.internal:
-            return self._refresh(request, started)
-        hit, cache_state = self._consult_cache(request, started)
-        if hit is not None:
-            return hit
-        return self._score_live(request, started, cache_state)
-
     def _note_response(self, obs, span, response: VerdictResponse) -> None:
         """Close a ``serve.request`` span with the response's verdict path."""
         span.end(response.finished_s)
@@ -665,55 +650,41 @@ class VerdictService:
     def _serve_tick(self) -> list[tuple[ScoreRequest, VerdictResponse]]:
         """Drain one scheduling tick of the queue.
 
-        Three regimes, decided by configuration:
-
-        * ``batch_max > 1`` — adaptive continuous batching: the tick
-          drains a :func:`plan_batch`-planned number of requests (the
-          batch grows with queue depth, shrinks when deadline headroom
-          is tight) and overlaps its scoring with the next tick's crawl
-          I/O when ``overlap`` is on.
-        * ``batch_size > 1`` (and ``batch_max == 1``) — the legacy
-          fixed-size drain.
-        * otherwise — exactly one :meth:`AdmissionQueue.pop` plus
-          :meth:`_handle`: the historical unbatched code path, bit for
-          bit.
+        Every tick drains a :func:`plan_batch`-planned number of
+        requests — the batch grows with queue depth up to
+        ``batch_max`` and shrinks when deadline headroom is tight — and
+        hands them to :meth:`_handle_batch`.  With ``batch_max > 1`` the
+        tick's scoring overlaps the next tick's crawl I/O; at
+        ``batch_max=1`` every tick is one request scored in line.
         """
         obs = get_observer()
-        if self.config.batch_max > 1:
-            with obs.profile("serve.pop"):
-                plan = plan_batch(
-                    self.queue,
-                    self.now_s,
-                    batch_max=self.config.batch_max,
-                    service_estimate_s=self.config.batch_headroom_s,
-                )
-                batch = self.queue.pop_batch(plan.size)
-            if obs.enabled:
-                obs.event(
-                    "serve.batch_planned",
-                    t=self.now_s,
-                    category="serve",
-                    size=plan.size,
-                    depth=plan.depth,
-                    reason=plan.reason,
-                )
-                obs.observe("serve_batch_planned", float(plan.size))
-            return self._handle_batch(batch)
-        if self.config.batch_size <= 1:
-            with obs.profile("serve.pop"):
-                request = self.queue.pop()
-            return [(request, self._handle(request))]
         with obs.profile("serve.pop"):
-            batch = self.queue.pop_batch(self.config.batch_size)
-        if len(batch) == 1:
-            return [(batch[0], self._handle(batch[0]))]
-        return self._handle_batch(batch)
+            plan = plan_batch(
+                self.queue,
+                self.now_s,
+                batch_max=self.config.batch_max,
+                service_estimate_s=BATCH_HEADROOM_S,
+            )
+            batch = self.queue.pop_batch(plan.size)
+        if obs.enabled:
+            obs.event(
+                "serve.batch_planned",
+                t=self.now_s,
+                category="serve",
+                size=plan.size,
+                depth=plan.depth,
+                reason=plan.reason,
+            )
+            obs.observe("serve_batch_planned", float(plan.size))
+        return self._handle_batch(batch, overlap=self.config.batch_max > 1)
 
     def _handle_batch(
-        self, batch: list[ScoreRequest]
+        self, batch: list[ScoreRequest], overlap: bool
     ) -> list[tuple[ScoreRequest, VerdictResponse]]:
         """Handle one drained batch with a single classification pass.
 
+        The only request handler: serve ticks and one-shot
+        :meth:`score` calls (a batch of one) both come here.
         Per-request admission semantics are unchanged — deadline checks,
         cache consults, and crawls happen request by request on the
         simulated clock, in FIFO order.  What is batched is the scoring:
@@ -724,14 +695,14 @@ class VerdictService:
         complete together (at the tick's end) and record the drained
         batch size.
 
-        With overlap on (adaptive mode), the score cost is *not*
-        debited to the shared clock here: the scorer is modelled as a
-        stage of its own that stays busy until
-        ``max(now, previously busy until) + score_cost_s``, so the next
-        tick's crawl I/O proceeds concurrently on the simulated clock
-        and :meth:`_sync_scorer` reconciles any remainder when the
-        worker idles or the run ends.  Live responses finish when the
-        scorer does.
+        Without *overlap* the score cost is debited to the clock in
+        line.  With it, the cost is *not* debited to the shared clock
+        here: the scorer is modelled as a stage of its own that stays
+        busy until ``max(now, previously busy until) + score_cost_s``,
+        so the next tick's crawl I/O proceeds concurrently on the
+        simulated clock and :meth:`_sync_scorer` reconciles any
+        remainder when the worker idles or the run ends.  Live
+        responses finish when the scorer does.
         """
         size = len(batch)
         obs = get_observer()
@@ -776,7 +747,6 @@ class VerdictService:
                     live.append((len(staged), started, cache_state))
                     staged.append((request, None))
         if live:
-            overlap = self.config.batch_max > 1 and self.config.overlap
             if overlap:
                 start = self.now_s
                 if self._score_busy_until > start:
@@ -801,15 +771,14 @@ class VerdictService:
                     if cache_state is None:
                         response = self._finish_refresh(
                             request, started, record, prediction, tier,
-                            version=version, margin=margin,
-                            finished_at=finish,
+                            version=version, margin=margin, finished=finish,
                         )
                     else:
                         response = self._respond_live(
                             request, started, cache_state, record, prediction,
                             tier, version=version,
                             shadow_prediction=shadow_prediction,
-                            margin=margin, finished_at=finish,
+                            margin=margin, finished=finish,
                         )
                     staged[index] = (request, response)
         results: list[tuple[ScoreRequest, VerdictResponse]] = []
@@ -941,34 +910,6 @@ class VerdictService:
         if transition != "canary" and self.rollout.consume_flush():
             self.cache.retain_version(self.rollout.champion.version)
 
-    def _crawl_and_score(
-        self, request: ScoreRequest
-    ) -> tuple[CrawlRecord, int, float, str, int, int | None]:
-        record = self._crawl_request(request)
-        self.stats.add_service(self.config.score_cost_s)
-        obs = get_observer()
-        with obs.profile("score"), obs.profile("serve.score"):
-            cascade, version, shadow = self._select_model(request)
-            prediction, margin, tier = cascade.score_record(record)
-            shadow_prediction = (
-                shadow.score_record(record)[0] if shadow is not None else None
-            )
-        return record, prediction, margin, tier, version, shadow_prediction
-
-    @staticmethod
-    def _score_with(
-        model: Any, records: list[CrawlRecord]
-    ) -> list[tuple[int, float, str]]:
-        """Score *records* with *model*, batched when the model can.
-
-        Rollout payloads are usually :class:`FrappeCascade` instances
-        (batched), but anything exposing ``score_record`` — e.g. an
-        experiment's wrapper model — still works record by record.
-        """
-        if hasattr(model, "score_batch"):
-            return model.score_batch(records)
-        return [model.score_record(record) for record in records]
-
     def _score_live_batch(
         self,
         staged: list[tuple[ScoreRequest, VerdictResponse | None]],
@@ -978,20 +919,12 @@ class VerdictService:
         """``(prediction, margin, tier, version, shadow_prediction)``
         per live record of the tick, aligned with *live*.
 
-        Without a rollout the whole tick is one
-        :meth:`FrappeCascade.score_batch` call.  Under a rollout the
-        tick splits into per-model-version sub-batches (champion
-        requests, canary requests, internal refreshes), each scored
-        with one batched pass — plus one champion shadow pass over the
-        canary sub-batch for the health gate — instead of record by
-        record.
+        The tick splits into per-model-version sub-batches — without a
+        rollout, one (the static cascade, version 0); under a rollout,
+        champion requests and internal refreshes, and canary requests —
+        each scored with one ``score_batch`` pass, plus one champion
+        shadow pass over the canary sub-batch for the health gate.
         """
-        if self.rollout is None:
-            return [
-                (prediction, margin, tier, 0, None)
-                for prediction, margin, tier
-                in self._cascade.score_batch(records)
-            ]
         selections = [
             self._select_model(staged[index][0]) for index, _, _ in live
         ]
@@ -1006,10 +939,10 @@ class VerdictService:
         for version, positions in groups.items():
             cascade, _, shadow = selections[positions[0]]
             subrecords = [records[position] for position in positions]
-            results = self._score_with(cascade, subrecords)
+            results = cascade.score_batch(subrecords)
             if shadow is not None:
                 shadow_predictions: list[int | None] = [
-                    result[0] for result in self._score_with(shadow, subrecords)
+                    result[0] for result in shadow.score_batch(subrecords)
                 ]
             else:
                 shadow_predictions = [None] * len(positions)
@@ -1028,24 +961,11 @@ class VerdictService:
         return attempts, faults
 
     def _store(
-        self, record: CrawlRecord, entry: CacheEntry, now_s: float | None = None
+        self, record: CrawlRecord, entry: CacheEntry, now_s: float
     ) -> None:
         summary = record.outcomes.get("summary")
         entry.negative = summary is not None and summary.status == PERMANENT
-        self.cache.store(entry, self.now_s if now_s is None else now_s)
-
-    def _score_live(
-        self, request: ScoreRequest, started: float, cache_state: str
-    ) -> VerdictResponse:
-        record, prediction, margin, tier, version, shadow_prediction = (
-            self._crawl_and_score(request)
-        )
-        with get_observer().profile("serve.respond"):
-            return self._respond_live(
-                request, started, cache_state, record, prediction, tier,
-                version=version, shadow_prediction=shadow_prediction,
-                margin=margin,
-            )
+        self.cache.store(entry, now_s)
 
     def _respond_live(
         self,
@@ -1055,23 +975,18 @@ class VerdictService:
         record: CrawlRecord,
         prediction: int,
         tier: str,
-        version: int = 0,
-        shadow_prediction: int | None = None,
-        margin: float | None = None,
-        finished_at: float | None = None,
+        version: int,
+        shadow_prediction: int | None,
+        margin: float,
+        finished: float,
     ) -> VerdictResponse:
-        finished = self.now_s if finished_at is None else finished_at
         attempts, faults = self._crawl_effort(record)
         # The service already scored this record; hand the (margin,
         # tier) through so the watchdog skips a bit-identical
         # re-evaluation.  Under a rollout the watchdog keeps its own
         # static cascade's view (the margin may have come from a canary
         # model), so the pass-through is withheld there.
-        scored = (
-            (margin, tier)
-            if margin is not None and self.rollout is None
-            else None
-        )
+        scored = (margin, tier) if self.rollout is None else None
         if tier in _TIER_RUNG:
             if shadow_prediction is not None:
                 self._account_canary(prediction, shadow_prediction)
@@ -1179,17 +1094,6 @@ class VerdictService:
             model_version=version,
         )
 
-    def _refresh(self, request: ScoreRequest, started: float) -> VerdictResponse:
-        """Background revalidation of a stale entry (no client waiting)."""
-        record, prediction, margin, tier, version, _ = (
-            self._crawl_and_score(request)
-        )
-        with get_observer().profile("serve.respond"):
-            return self._finish_refresh(
-                request, started, record, prediction, tier, version=version,
-                margin=margin,
-            )
-
     def _finish_refresh(
         self,
         request: ScoreRequest,
@@ -1197,17 +1101,12 @@ class VerdictService:
         record: CrawlRecord,
         prediction: int,
         tier: str,
-        version: int = 0,
-        margin: float | None = None,
-        finished_at: float | None = None,
+        version: int,
+        margin: float,
+        finished: float,
     ) -> VerdictResponse:
-        finished = self.now_s if finished_at is None else finished_at
         attempts, faults = self._crawl_effort(record)
-        scored = (
-            (margin, tier)
-            if margin is not None and self.rollout is None
-            else None
-        )
+        scored = (margin, tier) if self.rollout is None else None
         if tier in _TIER_RUNG:
             assessment = self._watchdog.assess_record(record, scored=scored)
             entry = CacheEntry(

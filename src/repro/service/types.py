@@ -187,8 +187,9 @@ class VerdictResponse:
     #: cache hits and shed requests)
     attempts: int = 0
     faults: int = 0
-    #: how many requests the serving tick drained together (1 when the
-    #: service runs unbatched; all responses of one batch share a value)
+    #: how many requests the serving tick drained together (always 1 at
+    #: batch_max=1 and for one-shot score(); all responses of one
+    #: batch share a value)
     batch_size: int = 1
     #: model version that rendered the verdict (0 = the static model,
     #: i.e. no rollout controller attached; >= 1 under a rollout)

@@ -6,12 +6,13 @@ Contracts under test:
   the batch grows with depth, caps at ``batch_max``, and shrinks while
   the tightest deadline in the candidate batch lacks the headroom to
   absorb serving the whole batch.
-* ``batch_max=1`` keeps the service on the literal historical unbatched
-  path — the ``overlap`` flag is inert there, and runs are byte-stable
-  (responses, summary, canonical trace export).
+* ``batch_max=1`` serves one request per tick through the same batched
+  tick, byte-stable run to run (responses, summary, transport,
+  canonical trace export), and attributes its score cost in the
+  profile.
 * At ``batch_max>1`` the adaptive service is deterministic at a fixed
-  seed, reaches full batches under overload while still varying the
-  size, and finishes no later (simulated) with overlap than without.
+  seed and reaches full batches under overload while still varying the
+  size.
 * Under a rollout, per-model sub-batch scoring returns exactly what
   record-by-record scoring with each request's assigned model returns.
 """
@@ -126,7 +127,7 @@ class TestPlanBatch:
         assert plans[0].size == 4 and plans[0].reason == "max"
 
 
-# -- batch_max=1: the historical path, byte for byte --------------------------
+# -- batch_max=1: one request per tick ----------------------------------------
 
 
 def _overload_requests(result, n_requests=48, seed=7):
@@ -156,23 +157,32 @@ def _image(report):
     ]
 
 
-def test_batch_max_one_is_byte_identical_regardless_of_overlap(clean_result):
-    """The overlap flag (and all adaptive machinery) is inert at
-    ``batch_max=1``: responses, summary, and the canonical trace export
-    are byte-identical with it on or off."""
-    on_obs, off_obs = TracingObserver(), TracingObserver()
-    with_overlap = _serve(
-        clean_result, ServiceConfig(batch_max=1, overlap=True), on_obs
+def test_batch_max_one_is_deterministic_one_request_per_tick(clean_result):
+    """At ``batch_max=1`` two runs agree on responses, summary,
+    transport and the canonical trace export, and no tick drains more
+    than one request."""
+    config = ServiceConfig(batch_max=1)
+    first_obs, second_obs = TracingObserver(), TracingObserver()
+    first = _serve(clean_result, config, first_obs)
+    second = _serve(clean_result, config, second_obs)
+    assert _image(first) == _image(second)
+    assert first.summary() == second.summary()
+    assert first.transport == second.transport
+    assert first_obs.tracer.to_jsonl() == second_obs.tracer.to_jsonl()
+    assert all(r.batch_size == 1 for r in first.responses)
+
+
+def test_batch_max_one_attributes_score_cost_in_the_profile(clean_result):
+    """Every live crawl at ``batch_max=1`` charges ``score_cost_s`` to
+    the ``score`` profile stage, as a batched tick does."""
+    config = ServiceConfig(batch_max=1)
+    observer = TracingObserver()
+    _serve(clean_result, config, observer)
+    score = observer.profiler.snapshot()["score"]
+    assert score["calls"] > 0
+    assert score["sim_s"] == pytest.approx(
+        config.score_cost_s * score["calls"]
     )
-    without = _serve(
-        clean_result, ServiceConfig(batch_max=1, overlap=False), off_obs
-    )
-    assert _image(with_overlap) == _image(without)
-    assert with_overlap.summary() == without.summary()
-    assert with_overlap.transport == without.transport
-    assert on_obs.tracer.to_jsonl() == off_obs.tracer.to_jsonl()
-    # the historical path never drains more than one request per tick
-    assert all(r.batch_size == 1 for r in with_overlap.responses)
 
 
 def test_adaptive_serving_is_deterministic_at_a_fixed_seed(clean_result):
@@ -217,22 +227,6 @@ def test_batch_planned_events_land_on_the_trace(clean_result):
     assert {event.attrs["reason"] for event in planned} <= {
         "depth", "max", "headroom",
     }
-
-
-def test_overlap_finishes_no_later_than_serialized(clean_result):
-    """Overlapping the score stage with the next tick's crawl I/O can
-    only shorten (never lengthen) the simulated run."""
-    overlapped = _serve(
-        clean_result,
-        ServiceConfig(batch_max=8, max_queue_depth=64, overlap=True),
-    )
-    serialized = _serve(
-        clean_result,
-        ServiceConfig(batch_max=8, max_queue_depth=64, overlap=False),
-    )
-    assert overlapped.elapsed_s <= serialized.elapsed_s + 1e-9
-    # the same offered workload is fully answered either way
-    assert len(overlapped.responses) == len(serialized.responses)
 
 
 def test_deadline_budgets_still_respected_under_batching(clean_result):

@@ -32,7 +32,7 @@ def serve_run(attach):
     (possibly absent) rollout controller onto the built service."""
     result = FrappePipeline(ScaleConfig(**CHAOS)).run(sweep_unlabelled=False)
     service = make_service(
-        result, ServiceConfig(batch_size=4, max_queue_depth=8)
+        result, ServiceConfig(batch_max=4, max_queue_depth=8)
     )
     attach(service)
     profile = LoadProfile(n_requests=40, rate_rps=0.5, pool_size=12, seed=7)

@@ -371,7 +371,7 @@ class TestVerdictServiceOneShot:
             app_id=app_id, arrival_s=0.0, deadline_s=5.0, sequence=1
         )
         service.stats.add_wait(10.0)  # the worker got to it too late
-        response = service._handle(aged)
+        [response] = service.serve([aged]).responses
         assert response.outcome == DEADLINE
         assert response.verdict is None
         assert "expired" in response.reason

@@ -1,10 +1,10 @@
 """Batched serving: drain-compatible requests, score them in one pass.
 
-The contract has two halves.  **Exactness**: ``batch_size=1`` takes the
-literal historical pop-one/handle-one path, ``pop_batch(1)`` is exactly
-``[pop()]``, and ``FrappeCascade.score_batch`` routes and scores each
-record bit-identically to ``score_record``.  **Batching**: with
-``batch_size>1`` a tick drains up to that many queued requests in
+The contract has two halves.  **Exactness**: ``batch_max=1`` serves
+one request per tick, ``pop_batch(1)`` is exactly ``[pop()]``, and
+``FrappeCascade.score_batch`` routes and scores each record
+bit-identically to ``score_record``.  **Batching**: with
+``batch_max>1`` a tick drains up to that many queued requests in
 strict priority order — filling across lanes, exactly the order that
 many consecutive ``pop`` calls would return — pays the scoring cost
 once, and stamps every response of the batch with the drained size.
@@ -149,8 +149,8 @@ def test_score_batch_matches_score_record(clean_result):
 # -- the batched service ----------------------------------------------------
 
 
-def _serve(result, batch_size, app_ids):
-    service = make_service(result, ServiceConfig(batch_size=batch_size))
+def _serve(result, batch_max, app_ids):
+    service = make_service(result, ServiceConfig(batch_max=batch_max))
     requests = [request(a, sequence=i) for i, a in enumerate(app_ids)]
     return service, service.serve(requests)
 

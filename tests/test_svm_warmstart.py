@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ml.online import SlidingWindowTrainer, WindowModel, carry_alphas
@@ -35,6 +35,9 @@ def make_window(rng, n, positive_fraction, n_features=4, separation=2.0):
     n=st.integers(12, 60),
     positive_fraction=st.floats(0.15, 0.85),
 )
+# A training point sits at cold margin -0.0003: the two solves agree to
+# 9e-4 yet label it differently, which is within solver tolerance.
+@example(seed=102, n=12, positive_fraction=0.1875)
 def test_warm_start_reaches_the_cold_start_decision_function(
     seed, n, positive_fraction
 ):
@@ -51,7 +54,11 @@ def test_warm_start_reaches_the_cold_start_decision_function(
         cold.decision_function(probe),
         atol=DECISION_ATOL,
     )
-    assert warm.accuracy(x, y) == cold.accuracy(x, y)
+    # Labels must agree exactly wherever the cold margin is clear of
+    # the solver tolerance; a point closer to the boundary than that
+    # may fall on either side.
+    clear = np.abs(cold.decision_function(x)) > DECISION_ATOL
+    np.testing.assert_array_equal(warm.predict(x)[clear], cold.predict(x)[clear])
 
 
 @settings(max_examples=10, deadline=None)
