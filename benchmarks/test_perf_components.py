@@ -12,7 +12,7 @@ from repro.ml.svm import SVC
 from repro.mypagekeeper.classifier import UrlClassifier
 from repro.mypagekeeper.monitor import MyPageKeeper
 from repro.text.clustering import cluster_names
-from repro.text.editdist import damerau_levenshtein
+from repro.text.reference import damerau_levenshtein
 
 
 def test_perf_svm_training(benchmark, result):
@@ -86,7 +86,7 @@ def test_perf_name_clustering_at_scale(benchmark):
     names = _clustering_corpus(10_000, seed=2012)
 
     def cluster():
-        return cluster_names(names, 0.8, kernel="fast")
+        return cluster_names(names, 0.8)
 
     clustering = benchmark.pedantic(cluster, rounds=2, iterations=1)
     assert clustering.n_clusters >= 1

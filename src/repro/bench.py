@@ -1,9 +1,10 @@
 """The perf-regression harness behind ``repro bench``.
 
 Every optimisation in this codebase keeps its naive reference path
-alive (``FeatureExtractor.vector``, ``cluster_names(kernel="naive")``,
-``name_similarity``, ``_smo(row_cache=False)``, ``batch_max=1``)
-because exactness is asserted against it.  This harness turns those
+alive (``FeatureExtractor.vector``, ``_smo(row_cache=False)``,
+``batch_max=1``, and the edit-distance DPs with
+``naive_cluster_names`` in :mod:`repro.text.reference`) because
+exactness is asserted against it.  This harness turns those
 pairs into a regression gate: each component is timed fast-vs-reference
 on an identical deterministic workload, and the *speedup ratios* go
 into a JSON report (``BENCH_<n>.json``).
@@ -144,11 +145,12 @@ def _bench_feature_matrix(result, rows: int) -> dict[str, Any]:
 
 def _bench_name_clustering(n_names: int, seed: int) -> dict[str, Any]:
     from repro.text.clustering import cluster_names
+    from repro.text.reference import naive_cluster_names
 
     names = _clustering_corpus(n_names, seed)
     threshold = 0.8
-    fast_s, fast = _time(lambda: cluster_names(names, threshold, kernel="fast"))
-    naive_s, naive = _time(lambda: cluster_names(names, threshold, kernel="naive"))
+    fast_s, fast = _time(lambda: cluster_names(names, threshold))
+    naive_s, naive = _time(lambda: naive_cluster_names(names, threshold))
     assert fast.clusters == naive.clusters
     return {
         "names": len(names),
@@ -163,8 +165,8 @@ def _bench_name_clustering(n_names: int, seed: int) -> dict[str, Any]:
 
 
 def _bench_similarity_kernel(n_names: int, seed: int) -> dict[str, Any]:
-    from repro.text.editdist import name_similarity
     from repro.text.fastdist import similar
+    from repro.text.reference import name_similarity
 
     names = sorted(set(_clustering_corpus(n_names, seed)))
     pairs = [

@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.features import ON_DEMAND_FEATURES, FeatureExtractor
 from repro.ecosystem.drift import DriftPlan, EpochData, EpochGenerator
 from repro.ml.drift import DriftConfig, DriftDetector, DriftReport
-from repro.ml.online import SlidingWindowTrainer, WindowModel
+from repro.ml.online import SlidingWindowTrainer
 from repro.obs import get_observer
 from repro.rng import derive_seed
 from repro.service.rollout import (

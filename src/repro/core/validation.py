@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.crawler.datasets import DatasetBundle
+from repro.text.fastdist import char_signature
 from repro.text.typosquat import is_typosquat, strip_version_suffix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -99,6 +100,9 @@ class FlagValidator:
         self._known_version_bases = self._collect_version_bases()
         self._known_urls = self._collect_known_urls()
         self._popular_names = popular_names or self._default_popular_names()
+        self._popular_signatures = {
+            name: char_signature(name) for name in self._popular_names
+        }
 
     # -- reference corpora from the known-malicious sample ----------------
 
@@ -157,7 +161,9 @@ class FlagValidator:
         name = self._names.get(app_id)
         if name is None:
             return False
-        return is_typosquat(name, self._popular_names)
+        return is_typosquat(
+            name, self._popular_names, signatures=self._popular_signatures
+        )
 
     def _manual_clusters(self, remaining: set[str], min_cluster: int = 5) -> set[str]:
         """Simulated analyst pass over name clusters of the remainder."""

@@ -23,6 +23,7 @@ paper's measured behaviour — 97% precision on flagged posts and a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -50,6 +51,45 @@ def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     return len(a & b) / union if union else 1.0
 
 
+def _pairwise_sum(values: list[float], lo: int, hi: int) -> float:
+    """numpy's pairwise float64 sum of ``values[lo:hi]``, operation for operation.
+
+    Below 8 values numpy adds left to right; up to 128 it runs 8
+    interleaved accumulators and combines them as a tree; above that
+    it splits at a multiple of 8 and recurses.
+    """
+    n = hi - lo
+    if n < 8:
+        total = -0.0
+        for i in range(lo, hi):
+            total += values[i]
+        return total
+    if n <= 128:
+        r = values[lo : lo + 8]
+        stop = hi - n % 8
+        for i in range(lo + 8, stop, 8):
+            for k in range(8):
+                r[k] += values[i + k]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(stop, hi):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(values, lo + half, hi)
+
+
+def _mean(values: list[float]) -> float:
+    """``float(np.mean(values))``, bit for bit, without building an array."""
+    return _pairwise_sum(values, 0, len(values)) / len(values)
+
+
+@lru_cache(maxsize=1024)
+def _log1p(n: int) -> float:
+    # numpy's log1p and math.log1p differ in the last bit for some n.
+    return float(np.log1p(n))
+
+
 @dataclass(frozen=True)
 class PostFeatures:
     """Aggregated features of one URL across the posts carrying it."""
@@ -60,22 +100,28 @@ class PostFeatures:
     mean_comments: float
     log_post_count: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.spam_keyword_density,
-                self.message_similarity,
-                self.mean_likes,
-                self.mean_comments,
-                self.log_post_count,
-            ]
+    def as_row(self) -> tuple[float, float, float, float, float]:
+        """The features in the SVM's column order."""
+        return (
+            self.spam_keyword_density,
+            self.message_similarity,
+            self.mean_likes,
+            self.mean_comments,
+            self.log_post_count,
         )
 
 
 def url_features(posts: list[Post]) -> PostFeatures:
-    """Aggregate the posts carrying one URL into a feature vector."""
+    """Aggregate the posts carrying one URL into a feature vector.
+
+    Every field is bit-identical to averaging with ``np.mean``: integer
+    counts sum exactly, so ``sum / n`` rounds once as numpy does, and
+    float means go through :func:`_mean`, which replays numpy's
+    pairwise summation order.
+    """
     if not posts:
         raise ValueError("need at least one post")
+    n = len(posts)
     messages = [p.message for p in posts]
     densities = [
         spam_keyword_count(m) / max(len(m.split()), 1) for m in messages
@@ -85,14 +131,13 @@ def url_features(posts: list[Post]) -> PostFeatures:
         similarity = 0.0
     else:
         token_sets = [_token_set(m) for m in sample]
-        pairs = list(combinations(token_sets, 2))
-        similarity = float(np.mean([_jaccard(a, b) for a, b in pairs]))
+        similarity = _mean([_jaccard(a, b) for a, b in combinations(token_sets, 2)])
     return PostFeatures(
-        spam_keyword_density=float(np.mean(densities)),
+        spam_keyword_density=_mean(densities),
         message_similarity=similarity,
-        mean_likes=float(np.mean([p.likes for p in posts])),
-        mean_comments=float(np.mean([p.comments for p in posts])),
-        log_post_count=float(np.log1p(len(posts))),
+        mean_likes=sum(p.likes for p in posts) / n,
+        mean_comments=sum(p.comments for p in posts) / n,
+        log_post_count=_log1p(n),
     )
 
 
@@ -179,15 +224,15 @@ class UrlClassifier:
         """
         flagged: set[str] = set()
         pending_urls: list[str] = []
-        pending_features: list[np.ndarray] = []
+        pending_rows: list[tuple[float, ...]] = []
         for url, posts in posts_by_url.items():
             if self._blacklist.contains(url, day):
                 flagged.add(url)
             else:
                 pending_urls.append(url)
-                pending_features.append(url_features(posts).as_array())
+                pending_rows.append(url_features(posts).as_row())
         if pending_urls:
-            matrix = self._scaler.transform(np.vstack(pending_features))
+            matrix = self._scaler.transform(np.array(pending_rows))
             predictions = self._svm.predict(matrix)
             flagged.update(
                 url for url, hit in zip(pending_urls, predictions) if hit

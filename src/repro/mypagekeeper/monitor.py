@@ -13,7 +13,7 @@ uses to spot piggybacked popular apps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.mypagekeeper.classifier import UrlClassifier
 from repro.platform.posts import Post, PostLog

@@ -10,7 +10,7 @@ records hidden truth about who really produced it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 __all__ = ["Post", "PostLog"]

@@ -28,7 +28,7 @@ app id, and all gates compare counters accumulated from the stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np

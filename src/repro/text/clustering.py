@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.text.editdist import name_similarity
 from repro.text.fastdist import char_signature, similar
 
 __all__ = ["NameClustering", "cluster_names"]
@@ -74,28 +74,28 @@ class NameClustering:
         return max(self.clusters, key=len)
 
 
-def cluster_names(
-    names: list[str], threshold: float = 1.0, kernel: str = "fast"
-) -> NameClustering:
+def cluster_names(names: list[str], threshold: float = 1.0) -> NameClustering:
     """Cluster *names* at a similarity *threshold* (single linkage).
 
     ``threshold=1`` clusters only identical names; lower thresholds
     additionally merge near-identical names (e.g. 'FarmVile' with
-    'FarmVille' at 0.8).
-
-    ``kernel`` selects how pairwise similarity is decided: ``"fast"``
-    (default) screens pairs through the bounded kernels in
-    :mod:`repro.text.fastdist`; ``"naive"`` computes the full
-    :func:`name_similarity` DP per pair.  Both kernels answer the exact
-    same threshold predicate, and the cluster list depends only on the
-    resulting partition (grouping is by first occurrence, not by
-    union-find internals), so the two outputs are identical — the tests
-    assert it.
+    'FarmVille' at 0.8).  Pairs are decided by the exact bounded
+    kernels in :mod:`repro.text.fastdist`; the cluster list depends
+    only on the resulting partition (grouping is by first occurrence,
+    not by union-find internals), so it is identical to the naive-DP
+    reference in :mod:`repro.text.reference` — the tests assert it.
     """
+    return _cluster(names, threshold, _link_fast)
+
+
+def _cluster(
+    names: list[str],
+    threshold: float,
+    link: Callable[[list[str], float, _UnionFind], None],
+) -> NameClustering:
+    """Collapse duplicates, let *link* union similar uniques, group."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    if kernel not in ("fast", "naive"):
-        raise ValueError(f"unknown kernel: {kernel!r}")
     counts = Counter(names)
     unique = list(counts)
     if threshold == 1.0:
@@ -103,10 +103,7 @@ def cluster_names(
         return NameClustering(threshold, len(names), clusters)
 
     uf = _UnionFind(len(unique))
-    if kernel == "naive":
-        _link_naive(unique, threshold, uf)
-    else:
-        _link_fast(unique, threshold, uf)
+    link(unique, threshold, uf)
 
     grouped: dict[int, list[str]] = {}
     for i, name in enumerate(unique):
@@ -114,31 +111,14 @@ def cluster_names(
     return NameClustering(threshold, len(names), list(grouped.values()))
 
 
-def _link_naive(unique: list[str], threshold: float, uf: _UnionFind) -> None:
-    """Reference kernel: full DP per candidate pair."""
-    # Sort by length so the pruning window is contiguous.
-    order = sorted(range(len(unique)), key=lambda i: len(unique[i]))
-    max_gap = 1.0 - threshold
-    for pos, i in enumerate(order):
-        name_i = unique[i]
-        for j in order[pos + 1 :]:
-            name_j = unique[j]
-            longest = len(name_j)  # sorted: len(name_j) >= len(name_i)
-            if longest and (longest - len(name_i)) / longest > max_gap:
-                break  # all later names are even longer
-            if uf.find(i) == uf.find(j):
-                continue
-            if name_similarity(name_i, name_j) >= threshold:
-                uf.union(i, j)
-
-
 def _link_fast(unique: list[str], threshold: float, uf: _UnionFind) -> None:
-    """Bounded kernel: same pairs, same predicate, far fewer DPs.
+    """Bounded kernel: the reference's pairs and predicate, far fewer DPs.
 
-    The candidate window replicates the naive kernel's length prune
-    expression verbatim (same float arithmetic), so both kernels see the
-    same pair set; :func:`repro.text.fastdist.similar` then decides each
-    pair with reject/accept bounds before falling back to a banded DP.
+    The candidate window replicates the length prune expression of
+    :func:`repro.text.reference._link_naive` verbatim (same float
+    arithmetic), so both kernels see the same pair set;
+    :func:`repro.text.fastdist.similar` then decides each pair with
+    reject/accept bounds before falling back to a banded DP.
     Within a window, pairs sharing a first character are visited first:
     franchise names ("FarmVille 2", "FarmVille 3", ...) union early, and
     the connectivity skip then discards the remaining quadratic bulk of

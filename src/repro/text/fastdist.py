@@ -1,6 +1,7 @@
-"""Fast bounded edit-distance kernels for name clustering.
+"""Fast bounded edit-distance kernels for name similarity.
 
-Clustering app names (Sec 4.2.1) only ever asks a *threshold* question:
+Clustering app names (Sec 4.2.1) and spotting typosquats (Sec 5.3)
+only ever ask a *threshold* question:
 is the normalized Damerau-Levenshtein similarity of two names at least
 ``t``?  That is an integer question — "is the OSA distance at most
 ``k``?" for a ``k`` derived from the threshold and the longer length —
@@ -23,15 +24,13 @@ and answering it is much cheaper than computing the full distance:
   non-decreasing, so no later cell can dip back under it).
 
 Everything here is exact: :func:`fast_damerau_levenshtein` equals
-:func:`repro.text.editdist.damerau_levenshtein` on every input (the
+:func:`repro.text.reference.damerau_levenshtein` on every input (the
 property tests draw random unicode to check), and :func:`similar`
 reproduces the naive ``name_similarity(a, b) >= threshold`` comparison
 bit-for-bit, including its float rounding, via :func:`edit_limit`.
 """
 
 from __future__ import annotations
-
-from repro.text.editdist import damerau_levenshtein
 
 __all__ = [
     "myers_levenshtein",
@@ -174,7 +173,7 @@ def bounded_osa(a: str, b: str, limit: int) -> int:
 def fast_damerau_levenshtein(a: str, b: str) -> int:
     """Exact OSA distance via limit-doubling over :func:`bounded_osa`.
 
-    Equals :func:`repro.text.editdist.damerau_levenshtein` everywhere;
+    Equals :func:`repro.text.reference.damerau_levenshtein` everywhere;
     the doubling search keeps the band (and therefore the work) sized to
     the answer instead of to the strings.
     """

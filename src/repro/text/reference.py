@@ -1,24 +1,32 @@
-"""Edit distances between strings.
+"""Reference edit distances: the naive dynamic programs.
 
 The paper (Sec 4.2.1) measures the similarity between two app names as
 the Damerau-Levenshtein edit distance normalized by the length of the
-longer name.  We provide:
+longer name.  Production code answers every such question through the
+exact bounded kernels in :mod:`repro.text.fastdist`; this module keeps
+the textbook DPs they are proven against, and nothing else imports it
+but the tests, ``repro bench`` and ``benchmarks/``:
 
 * :func:`levenshtein` — plain insert/delete/substitute distance,
 * :func:`damerau_levenshtein` — the *optimal string alignment* variant
   (adds adjacent transposition; each substring edited at most once),
   which is what implementations the paper cites use in practice,
 * :func:`unrestricted_damerau_levenshtein` — the true metric variant,
-* :func:`name_similarity` — the normalized similarity in [0, 1].
+* :func:`name_similarity` — the normalized similarity in [0, 1],
+* :func:`naive_cluster_names` — :func:`repro.text.clustering.cluster_names`
+  with one full :func:`name_similarity` DP per candidate pair.
 """
 
 from __future__ import annotations
+
+from repro.text.clustering import NameClustering, _cluster, _UnionFind
 
 __all__ = [
     "levenshtein",
     "damerau_levenshtein",
     "unrestricted_damerau_levenshtein",
     "name_similarity",
+    "naive_cluster_names",
 ]
 
 
@@ -144,3 +152,30 @@ def name_similarity(a: str, b: str) -> float:
     if longest == 0:
         return 1.0
     return 1.0 - damerau_levenshtein(a, b) / longest
+
+
+def naive_cluster_names(names: list[str], threshold: float = 1.0) -> NameClustering:
+    """:func:`repro.text.clustering.cluster_names` through the naive DP.
+
+    Same candidate pairs, same threshold predicate, so the cluster list
+    is identical to the production kernel's — the tests assert it.
+    """
+    return _cluster(names, threshold, _link_naive)
+
+
+def _link_naive(unique: list[str], threshold: float, uf: _UnionFind) -> None:
+    """Reference kernel: full DP per candidate pair."""
+    # Sort by length so the pruning window is contiguous.
+    order = sorted(range(len(unique)), key=lambda i: len(unique[i]))
+    max_gap = 1.0 - threshold
+    for pos, i in enumerate(order):
+        name_i = unique[i]
+        for j in order[pos + 1 :]:
+            name_j = unique[j]
+            longest = len(name_j)  # sorted: len(name_j) >= len(name_i)
+            if longest and (longest - len(name_i)) / longest > max_gap:
+                break  # all later names are even longer
+            if uf.find(i) == uf.find(j):
+                continue
+            if name_similarity(name_i, name_j) >= threshold:
+                uf.union(i, j)

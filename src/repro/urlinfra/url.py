@@ -70,11 +70,18 @@ def registered_domain(host: str) -> str:
 
 
 def domain_of(raw: str) -> str:
-    """Registered domain of a raw URL string (empty string if unparsable)."""
+    """Registered domain of a raw URL string (empty string if unparsable).
+
+    Equals ``Url.parse(raw).domain`` wherever that parse succeeds, and
+    is ``""`` exactly where it raises, without parsing the query.
+    """
     try:
-        return Url.parse(raw).domain
+        parts = urlsplit(raw)
     except ValueError:
         return ""
+    if not parts.scheme or not parts.netloc:
+        return ""
+    return registered_domain(parts.netloc)
 
 
 def is_facebook_url(raw: str) -> bool:

@@ -69,7 +69,7 @@ class TestNames:
             assert had and base == "Past Life"
 
     def test_typosquat_is_similar_but_different(self, rng):
-        from repro.text.editdist import name_similarity
+        from repro.text.reference import name_similarity
         factory = NameFactory(rng)
         for _ in range(20):
             squatted = factory.typosquat_of("FarmVille")

@@ -1,10 +1,19 @@
 """Tests for MyPageKeeper: keywords, URL features, classifier, monitor."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.mypagekeeper.classifier import UrlClassifier, url_features
+from repro.mypagekeeper.classifier import (
+    PostFeatures,
+    UrlClassifier,
+    _jaccard,
+    _mean,
+    _token_set,
+    url_features,
+)
 from repro.mypagekeeper.keywords import contains_spam_keyword, spam_keyword_count
 from repro.mypagekeeper.monitor import AppLabeler, MyPageKeeper
 from repro.platform.posts import Post, PostLog
@@ -38,6 +47,33 @@ def _post(post_id, message, link=None, likes=0, comments=0, app="a"):
     )
 
 
+_WORDS = (
+    "free", "WOW", "credits", "hurry", "level", "farm", "my", "new", "iPad", "a",
+)
+
+
+def _numpy_url_features(posts):
+    """``url_features`` as it was written with ``np.mean``: the oracle."""
+    messages = [p.message for p in posts]
+    densities = [
+        spam_keyword_count(m) / max(len(m.split()), 1) for m in messages
+    ]
+    sample = messages[:6]
+    if len(sample) < 2:
+        similarity = 0.0
+    else:
+        token_sets = [_token_set(m) for m in sample]
+        pairs = list(combinations(token_sets, 2))
+        similarity = float(np.mean([_jaccard(a, b) for a, b in pairs]))
+    return PostFeatures(
+        spam_keyword_density=float(np.mean(densities)),
+        message_similarity=similarity,
+        mean_likes=float(np.mean([p.likes for p in posts])),
+        mean_comments=float(np.mean([p.comments for p in posts])),
+        log_post_count=float(np.log1p(len(posts))),
+    )
+
+
 class TestUrlFeatures:
     def test_single_post_has_zero_similarity(self):
         features = url_features([_post(0, "hello world")])
@@ -57,6 +93,46 @@ class TestUrlFeatures:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             url_features([])
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(_WORDS), max_size=12),
+                st.integers(0, 40),
+                st.integers(0, 15),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_bit_identical_to_numpy_means(self, drawn):
+        # 8+ posts (and 5+ sampled messages, i.e. 10+ Jaccard pairs) is
+        # where numpy's pairwise summation stops adding left to right.
+        posts = [
+            _post(i, " ".join(words), likes=likes, comments=comments)
+            for i, (words, likes, comments) in enumerate(drawn)
+        ]
+        new, old = url_features(posts), _numpy_url_features(posts)
+        assert new.spam_keyword_density == old.spam_keyword_density
+        assert new.message_similarity == old.message_similarity
+        assert new.mean_likes == old.mean_likes
+        assert new.mean_comments == old.mean_comments
+        assert new.log_post_count == old.log_post_count
+        assert new == old
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            min_size=1,
+            max_size=1100,
+        )
+    )
+    def test_mean_replays_numpy_pairwise_summation(self, values):
+        # Long lists cover the 8-accumulator blocks and the recursive
+        # split above 128 values that big URL groups reach.
+        assert _mean(values) == float(np.mean(values))
 
 
 class TestUrlClassifier:

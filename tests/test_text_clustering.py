@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.text.clustering import cluster_names
-from repro.text.editdist import name_similarity
+from repro.text.reference import name_similarity
 
 _NAMES = st.lists(st.text(alphabet="abcd", min_size=1, max_size=6), max_size=25)
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.text.editdist import (
+from repro.text.reference import (
     damerau_levenshtein,
     levenshtein,
     name_similarity,

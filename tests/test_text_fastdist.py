@@ -3,21 +3,27 @@
 Every routine in :mod:`repro.text.fastdist` is an *optimisation*, never
 an approximation: the Myers bit-parallel Levenshtein, the banded
 bounded OSA, and the pruned ``similar`` predicate must agree with the
-naive dynamic programs in :mod:`repro.text.editdist` on **every** input
+naive dynamic programs in :mod:`repro.text.reference` on **every** input
 — including multi-byte unicode, empty strings, and threshold edge
 cases.  Hypothesis drives the comparison over random text; the
-clustering equivalence (fast kernel vs naive kernel, byte-identical
-output) is covered both here on random corpora and at scale in
-``benchmarks/``.
+clustering equivalence (``cluster_names`` vs the reference
+``naive_cluster_names``, byte-identical output) is covered both here on
+random corpora and at scale in ``repro bench``.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
+
 from repro.text.clustering import cluster_names
-from repro.text.editdist import damerau_levenshtein, levenshtein, name_similarity
 from repro.text.fastdist import (
     bounded_osa,
     char_signature,
@@ -25,6 +31,12 @@ from repro.text.fastdist import (
     fast_damerau_levenshtein,
     myers_levenshtein,
     similar,
+)
+from repro.text.reference import (
+    damerau_levenshtein,
+    levenshtein,
+    naive_cluster_names,
+    name_similarity,
 )
 
 # Mixed-script text: ascii, latin-1, CJK, and astral-plane emoji, so the
@@ -94,12 +106,30 @@ def test_edit_limit_is_the_exact_threshold_boundary():
     thresholds,
 )
 def test_cluster_names_fast_equals_naive(names, threshold):
-    fast = cluster_names(names, threshold, kernel="fast")
-    naive = cluster_names(names, threshold, kernel="naive")
+    fast = cluster_names(names, threshold)
+    naive = naive_cluster_names(names, threshold)
     assert fast.clusters == naive.clusters
     assert fast.threshold == naive.threshold
+    assert fast.n_names == naive.n_names
 
 
-def test_cluster_names_rejects_unknown_kernel():
-    with pytest.raises(ValueError):
-        cluster_names(["a"], 0.8, kernel="turbo")
+def test_production_modules_do_not_import_the_reference_dp():
+    """Only tests, ``repro bench`` and ``benchmarks/`` load the naive DPs."""
+    script = """
+import importlib, pkgutil, sys
+import repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    if info.name.endswith("__main__") or info.name in (
+        "repro.bench", "repro.text.reference"
+    ):
+        continue
+    importlib.import_module(info.name)
+print("repro.text.reference" in sys.modules)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

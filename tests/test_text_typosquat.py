@@ -1,7 +1,9 @@
 """Tests for typosquat detection and version-suffix stripping."""
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.text.fastdist import char_signature
+from repro.text.reference import name_similarity
 from repro.text.typosquat import is_typosquat, strip_version_suffix
 
 POPULAR = {"FarmVille", "CityVille", "Mafia Wars"}
@@ -53,3 +55,75 @@ class TestTyposquat:
 
     def test_empty_popular_set(self):
         assert not is_typosquat("FarmVile", set())
+
+
+def _reference_is_typosquat(name, popular_names, min_similarity=0.85):
+    """The predicate as first written: one full DP per popular name."""
+    if name in popular_names:
+        return False
+    base, _ = strip_version_suffix(name)
+    if base != name and base in popular_names:
+        return True
+    return any(
+        name_similarity(name, popular) >= min_similarity for popular in popular_names
+    )
+
+
+# A small alphabet makes near-misses common; the extra characters put
+# multi-byte and astral-plane text through the 64-bucket signatures.
+_ALPHABET = "FarmVileCity W.s áß中🎮"
+_NAME = st.text(alphabet=_ALPHABET, max_size=16)
+_VERSION = st.from_regex(r"[vV][0-9]{1,2}(\.[0-9]{1,2})?", fullmatch=True)
+
+
+def _edit(name, position, char, kind):
+    """Apply one insertion, deletion, substitution or transposition."""
+    if not name:
+        return char
+    i = position % len(name)
+    if kind == 0:
+        return name[:i] + char + name[i:]
+    if kind == 1:
+        return name[:i] + name[i + 1 :]
+    if kind == 2:
+        return name[:i] + char + name[i + 1 :]
+    if i + 1 < len(name):
+        return name[:i] + name[i + 1] + name[i] + name[i + 2 :]
+    return name
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    st.data(),
+    st.lists(_NAME, max_size=20),
+    st.sampled_from((0.5, 0.75, 0.85, 0.9, 1.0)),
+)
+def test_is_typosquat_matches_reference_dp(data, popular, min_similarity):
+    popular_set = set(popular)
+    candidates = [
+        st.text(max_size=20),
+        _NAME,
+        st.builds(lambda base, v: f"{base} {v}", _NAME, _VERSION),
+        st.just(""),
+    ]
+    if popular:
+        members = st.sampled_from(popular)
+        candidates += [
+            members,
+            st.builds(lambda p, v: f"{p} {v}", members, _VERSION),
+            st.builds(
+                _edit,
+                members,
+                st.integers(0, 20),
+                st.sampled_from(_ALPHABET),
+                st.integers(0, 3),
+            ),
+        ]
+    name = data.draw(st.one_of(candidates), label="name")
+    expected = _reference_is_typosquat(name, popular_set, min_similarity)
+    signatures = {p: char_signature(p) for p in popular_set}
+    assert is_typosquat(name, popular_set, min_similarity) == expected
+    assert is_typosquat(name, popular_set, min_similarity, signatures) == expected
+    assert is_typosquat(name, popular, min_similarity) == expected
+    if min_similarity == 0.85:
+        assert is_typosquat(name, popular_set) == expected

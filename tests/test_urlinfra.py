@@ -12,6 +12,14 @@ from repro.urlinfra.wot import WOT_UNKNOWN, WotService
 _LABEL = st.text(alphabet="abcdefghij", min_size=1, max_size=8)
 
 
+def _parsed_domain(raw):
+    """``domain_of`` as defined: the full ``Url`` parse, ``""`` if it raises."""
+    try:
+        return Url.parse(raw).domain
+    except ValueError:
+        return ""
+
+
 class TestUrl:
     def test_parse_roundtrip(self):
         raw = "https://www.facebook.com/apps/application.php?id=42"
@@ -35,6 +43,41 @@ class TestUrl:
 
     def test_domain_of_invalid(self):
         assert domain_of("not a url") == ""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "https://www.facebook.com/apps/application.php?id=42",
+            "HTTP://WWW.FaceBook.COM/Path?Q=1",
+            "http://example.com:8080/x",
+            "https://a.b.c.spam-site.net/",
+            "http://bit.ly/abc#frag",
+            "http://EXAMPLE.com.",
+            "ftp://files.example.org/f",
+            "http://user:pw@host.example.com/",
+            "http://[::1]:80/",
+            "example.com/path",
+            "//example.com/no-scheme",
+            "www.facebook.com",
+            "mailto:someone@example.com",
+            "not a url",
+            "",
+            "http://",
+            "http://[::1",
+            "http://a.com/?a=1&a=2&&=x",
+        ],
+    )
+    def test_domain_of_matches_url_parse(self, raw):
+        assert domain_of(raw) == _parsed_domain(raw)
+
+    @given(
+        st.text(alphabet="abcAB.:/?#[]@-_ %1", max_size=30).map(
+            lambda s: "http://" + s
+        )
+        | st.text(max_size=30)
+    )
+    def test_domain_of_matches_url_parse_on_random_strings(self, raw):
+        assert domain_of(raw) == _parsed_domain(raw)
 
     def test_is_facebook_url(self):
         assert is_facebook_url("https://apps.facebook.com/farmville")
