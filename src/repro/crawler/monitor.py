@@ -42,6 +42,7 @@ same dispatch order, same per-app calls, byte-identical records.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import logging
 import os
 import signal
@@ -934,7 +935,14 @@ class SupervisedEpochRunner:
             daemon=True,
             name=f"repro-monitor-e{epoch}-r{incarnation}",
         )
-        proc.start()
+        # Move every live object to the permanent generation before the
+        # fork, so a collection in the worker does not walk (and so
+        # copy) the parent's heap page by page.
+        gc.freeze()
+        try:
+            proc.start()
+        finally:
+            gc.unfreeze()
         send_conn.close()  # worker death now surfaces as EOF
         last_seen = time.monotonic()
         done = False

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ecosystem.messages import MessageFactory
 from repro.ecosystem.params import GenerationParams
 from repro.ecosystem.services import EcosystemServices
 from repro.platform.apps import APP_CATEGORIES, FacebookApp
 from repro.platform.permissions import PERMISSION_POOL, TOP_BENIGN_PERMISSIONS
 from repro.platform.posts import Post
+from repro.rng import bounded_integers
 
-__all__ = ["BenignPopulation"]
+__all__ = ["BenignPopulation", "benign_profile_posts", "draw_benign_permissions"]
 
 _COMPANIES = (
     "Zynga", "Electronic Arts", "Playdom", "Wooga", "King", "Playfish",
@@ -72,6 +74,29 @@ def draw_benign_permissions(rng: np.random.Generator, params: GenerationParams) 
             pool = PERMISSION_POOL
         chosen.setdefault(pool[int(rng.integers(0, len(pool)))])
     return tuple(chosen)
+
+
+def benign_profile_posts(
+    rng: np.random.Generator,
+    messages: MessageFactory,
+    n_users: int,
+    app: FacebookApp,
+    count: int,
+    first_id: int,
+) -> list[Post]:
+    """*count* benign posts for *app*'s profile page, IDs counting down.
+
+    Module-level because camouflaged malicious apps fill their profile
+    pages by the same law.  Per post, *rng* draws the day and the user
+    and *messages* draws the text; each stream sees only bounded
+    integers, so each draws all *count* posts in one call.
+    """
+    when = bounded_integers(rng, 0, [270, n_users] * count)
+    texts = messages.benign_messages(app.name, count)
+    return [
+        Post(first_id - k, day, user, app.app_id, message=text)
+        for k, (day, user, text) in enumerate(zip(when[::2], when[1::2], texts))
+    ]
 
 
 class BenignPopulation:
@@ -212,17 +237,13 @@ class BenignPopulation:
             )
         )
         count = min(max(count, 1), _MAX_PROFILE_POSTS)
-        for _ in range(count):
-            self._profile_post_serial += 1
-            app.profile_feed.append(
-                Post(
-                    post_id=-self._profile_post_serial,  # not in the wall log
-                    day=int(rng.integers(0, 270)),
-                    user_id=int(rng.integers(0, self._n_users)),
-                    app_id=app.app_id,
-                    message=self._messages.benign_message(app.name),
-                )
+        first_id = -(self._profile_post_serial + 1)  # not in the wall log
+        app.profile_feed.extend(
+            benign_profile_posts(
+                rng, self._messages, self._n_users, app, count, first_id
             )
+        )
+        self._profile_post_serial += count
 
     # -- posting -------------------------------------------------------------
 
@@ -245,24 +266,28 @@ class BenignPopulation:
             external_ratio = float(rng.beta(a, b))
         internal_link_rate = float(rng.beta(2, 6))
         slug = "".join(ch for ch in app.name.lower() if ch.isalnum()) or "app"
-        days = rng.integers(0, horizon_days, size=n_posts)
-        for day in days:
-            likes, comments = self._messages.benign_engagement()
-            draw = rng.random()
+        days = rng.integers(0, horizon_days, size=n_posts).tolist()
+        # The messages stream's draws (engagement, then text) come first:
+        # streams are independent, so only the order within each counts.
+        texts = self._messages.benign_posts(app.name, n_posts)
+        random = rng.random
+        integers = rng.integers
+        new_post = self._post_log.new_post
+        n_users = self._n_users
+        app_id = app.app_id
+        name = app.name
+        internal_bound = external_ratio + internal_link_rate
+        external_prefix = f"http://www.{slug}-news.com/update/"
+        internal_link = f"https://apps.facebook.com/{slug}?ref=post"
+        for day, (likes, comments, message) in zip(days, texts):
+            draw = random()
             if draw < external_ratio:
-                link = f"http://www.{slug}-news.com/update/{int(rng.integers(1, 50))}"
-            elif draw < external_ratio + internal_link_rate:
-                link = f"https://apps.facebook.com/{slug}?ref=post"
+                link = f"{external_prefix}{int(integers(1, 50))}"
+            elif draw < internal_bound:
+                link = internal_link
             else:
                 link = None
-            self._post_log.new_post(
-                day=int(day),
-                user_id=int(rng.integers(0, self._n_users)),
-                app_id=app.app_id,
-                app_name=app.name,
-                message=self._messages.benign_message(app.name),
-                link=link,
-                likes=likes,
-                comments=comments,
-                truth_malicious=False,
+            new_post(
+                day, int(integers(0, n_users)), app_id, name,
+                message, link, likes, comments, False,
             )

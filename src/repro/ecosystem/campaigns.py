@@ -27,11 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.ecosystem.benign import benign_profile_posts, draw_benign_permissions
 from repro.ecosystem.params import GenerationParams
 from repro.ecosystem.services import EcosystemServices
 from repro.platform.apps import FacebookApp
 from repro.platform.permissions import PERMISSION_POOL, PUBLISH_STREAM
 from repro.platform.posts import Post
+from repro.rng import bounded_integers
 from repro.urlinfra.hosting import AWS_PROVIDER
 from repro.urlinfra.redirector import IndirectionSite
 
@@ -382,18 +384,23 @@ class HackerCampaign:
             truth_campaign_id=self.plan.campaign_id,
         )
         self.professional_app_ids.add(app.app_id)
-        for _ in range(int(rng.integers(3, 25))):
-            self._profile_post_serial += 1
-            app.profile_feed.append(
-                Post(
-                    post_id=-(10**9) - self._profile_post_serial,
-                    day=int(rng.integers(0, 270)),
-                    user_id=int(rng.integers(0, self._services.n_users)),
-                    app_id=app.app_id,
-                    message=self._services.messages.benign_message(app.name),
-                )
-            )
+        self._add_benign_profile_posts(app, int(rng.integers(3, 25)))
         return app
+
+    def _add_benign_profile_posts(self, app: FacebookApp, count: int) -> None:
+        """*count* benign-looking posts on *app*'s profile page."""
+        first_id = -(10**9) - (self._profile_post_serial + 1)
+        app.profile_feed.extend(
+            benign_profile_posts(
+                self._rng,
+                self._services.messages,
+                self._services.n_users,
+                app,
+                count,
+                first_id,
+            )
+        )
+        self._profile_post_serial += count
 
     def _draw_permissions(self) -> tuple[str, ...]:
         rng = self._rng
@@ -406,8 +413,6 @@ class HackerCampaign:
 
     def _draw_benign_style_permissions(self) -> tuple[str, ...]:
         """The benign population's permission law (for professionals)."""
-        from repro.ecosystem.benign import draw_benign_permissions
-
         return draw_benign_permissions(self._rng, self._params)
 
     def _draw_mau_series(self) -> tuple[int, ...]:
@@ -452,20 +457,28 @@ class HackerCampaign:
             1 + int(rng.poisson(self._params.malicious_profile_posts_mean)),
             _MAX_PROFILE_POSTS,
         )
-        for _ in range(count):
-            self._profile_post_serial += 1
-            token = int(rng.integers(1, 100_000))
-            app.profile_feed.append(
-                Post(
-                    post_id=-(10**9) - self._profile_post_serial,
-                    day=int(rng.integers(0, 270)),
-                    user_id=int(rng.integers(0, self._services.n_users)),
-                    app_id=app.app_id,
-                    message=self._services.messages.spam_message(self._template),
-                    link=f"http://{domain}/freeoffer/{token}",
-                    truth_malicious=True,
-                )
+        # Per post: token, day and user from this stream, the text from
+        # the messages stream; each stream sees only bounded integers.
+        draws = bounded_integers(
+            rng, [1, 0, 0] * count, [100_000, 270, self._services.n_users] * count
+        )
+        texts = self._services.messages.spam_messages(self._template, count)
+        serial = self._profile_post_serial
+        app.profile_feed.extend(
+            Post(
+                -(10**9) - (serial + k + 1),
+                day,
+                user,
+                app.app_id,
+                message=text,
+                link=f"http://{domain}/freeoffer/{token}",
+                truth_malicious=True,
             )
+            for k, (token, day, user, text) in enumerate(
+                zip(draws[::3], draws[1::3], draws[2::3], texts)
+            )
+        )
+        self._profile_post_serial = serial + count
 
     # ------------------------------------------------------------------
     # indirection sites and promotion wiring
@@ -827,8 +840,6 @@ class BenignMimicryCampaign(DriftingCampaign):
     archetype = "mimicry"
 
     def _apply_drift(self) -> None:
-        from repro.ecosystem.benign import draw_benign_permissions
-
         rng = self._rng
         params = self._params
         for app in self.apps:
@@ -852,19 +863,7 @@ class BenignMimicryCampaign(DriftingCampaign):
                 self._services.hosting.assign(front, "self-hosted")
                 app.redirect_uri = f"https://www.{front}/canvas"
             if not app.profile_feed:
-                for _ in range(int(rng.integers(2, 8))):
-                    self._profile_post_serial += 1
-                    app.profile_feed.append(
-                        Post(
-                            post_id=-(10**9) - self._profile_post_serial,
-                            day=int(rng.integers(0, 270)),
-                            user_id=int(rng.integers(0, self._services.n_users)),
-                            app_id=app.app_id,
-                            message=self._services.messages.benign_message(
-                                app.name
-                            ),
-                        )
-                    )
+                self._add_benign_profile_posts(app, int(rng.integers(2, 8)))
 
 
 #: archetype name -> drifting campaign class, in a stable order

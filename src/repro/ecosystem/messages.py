@@ -8,7 +8,11 @@ Like/comment counts also differ: malicious posts engage users less.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
+
+from repro.rng import bounded_integers
 
 __all__ = ["MessageFactory"]
 
@@ -48,8 +52,44 @@ _BENIGN_TEMPLATES = (
 )
 
 
+def _split(template: str) -> tuple[str, str | None]:
+    """*template* as ``(head, tail)`` around its one ``{n}``.
+
+    ``tail`` is ``None`` for a template without a number.  Formatting
+    the two halves separately and joining them around ``str(n)`` equals
+    ``template.format(n=n, ...)`` for templates with at most one
+    ``{n}``, and skips re-parsing the template per post.
+    """
+    head, sep, tail = template.partition("{n}")
+    return (head, tail) if sep else (template, None)
+
+
+def _fill(head: str, tail: str | None, n: int) -> str:
+    return head if tail is None else f"{head}{n}{tail}"
+
+
+_CHATTER_PARTS = tuple(_split(t) for t in _CHATTER_TEMPLATES)
+_BENIGN_PARTS = tuple(_split(t) for t in _BENIGN_TEMPLATES)
+
+
+def _benign_parts(app_name: str) -> list[tuple[str, str | None]]:
+    """The benign templates split around ``{n}``, *app_name* filled in."""
+    return [
+        (
+            head.format(app=app_name),
+            None if tail is None else tail.format(app=app_name),
+        )
+        for head, tail in _BENIGN_PARTS
+    ]
+
+
 class MessageFactory:
-    """Draws post texts and engagement counts for both populations."""
+    """Draws post texts and engagement counts for both populations.
+
+    The scalar methods draw one post's worth; the plural ones draw many
+    posts' worth and consume exactly the draws of the same number of
+    scalar calls, in the same order (see :func:`repro.rng.bounded_integers`).
+    """
 
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
@@ -69,16 +109,79 @@ class MessageFactory:
         n = int(self._rng.integers(1, 10)) * 10 ** int(self._rng.integers(1, 4))
         return template.format(n=n)
 
-    def chatter_message(self) -> str:
-        """A manual (app-less) status update."""
-        template = _CHATTER_TEMPLATES[
-            int(self._rng.integers(0, len(_CHATTER_TEMPLATES)))
+    def spam_messages(self, template: str, count: int) -> list[str]:
+        """*count* :meth:`spam_message` texts, drawn in one call."""
+        draws = bounded_integers(self._rng, 1, [10, 4] * count)
+        return [
+            template.format(n=mantissa * 10**exponent)
+            for mantissa, exponent in zip(draws[::2], draws[1::2])
         ]
-        return template.format(n=int(self._rng.integers(1, 400)))
+
+    def appless_messages(self, malicious: Sequence[bool]) -> list[str]:
+        """Texts for a run of app-less posts, one per *malicious* flag.
+
+        A malicious post reshares a scam lure (a fresh campaign template
+        and its number); the rest are manual status updates.
+        """
+        low: list[int] = []
+        high: list[int] = []
+        for is_spam in malicious:
+            if is_spam:
+                low += (0, 1, 1)
+                high += (len(_SPAM_TEMPLATES), 10, 4)
+            else:
+                low += (0, 1)
+                high += (len(_CHATTER_TEMPLATES), 400)
+        draws = iter(bounded_integers(self._rng, low, high))
+        texts: list[str] = []
+        for is_spam in malicious:
+            if is_spam:
+                template = _SPAM_TEMPLATES[next(draws)]
+                n = next(draws) * 10 ** next(draws)
+                texts.append(template.format(n=n))
+            else:
+                head, tail = _CHATTER_PARTS[next(draws)]
+                texts.append(_fill(head, tail, next(draws)))
+        return texts
 
     def benign_message(self, app_name: str) -> str:
         template = _BENIGN_TEMPLATES[int(self._rng.integers(0, len(_BENIGN_TEMPLATES)))]
         return template.format(app=app_name, n=int(self._rng.integers(1, 500)))
+
+    def benign_messages(self, app_name: str, count: int) -> list[str]:
+        """*count* :meth:`benign_message` texts, drawn in one call."""
+        parts = _benign_parts(app_name)
+        draws = bounded_integers(
+            self._rng, [0, 1] * count, [len(parts), 500] * count
+        )
+        return [
+            _fill(*parts[index], n) for index, n in zip(draws[::2], draws[1::2])
+        ]
+
+    def benign_posts(
+        self, app_name: str, count: int
+    ) -> list[tuple[int, int, str]]:
+        """``(likes, comments, message)`` for *count* benign posts.
+
+        Per post this draws :meth:`benign_engagement` then
+        :meth:`benign_message`.  Poisson draws consume a variable number
+        of words, so the loop stays scalar; only its per-post overhead
+        is trimmed.
+        """
+        poisson = self._rng.poisson
+        integers = self._rng.integers
+        parts = _benign_parts(app_name)
+        n_templates = len(parts)
+        posts: list[tuple[int, int, str]] = []
+        for _ in range(count):
+            likes = int(poisson(7.0))
+            comments = int(poisson(2.5))
+            head, tail = parts[int(integers(0, n_templates))]
+            n = int(integers(1, 500))
+            posts.append(
+                (likes, comments, head if tail is None else f"{head}{n}{tail}")
+            )
+        return posts
 
     # -- engagement -------------------------------------------------------
 

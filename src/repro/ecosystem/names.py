@@ -8,7 +8,11 @@ and sometimes typosquats a popular benign name ('FarmVile').
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
+
+from repro.rng import bounded_integers
 
 __all__ = ["NameFactory", "POPULAR_BENIGN_NAMES", "SCAM_BASE_NAMES"]
 
@@ -93,6 +97,8 @@ class NameFactory:
         self._rng = rng
         self._benign_serial = 0
         self._used_benign_names: set[str] = set()
+        #: the same names, kept sorted: the franchise-parent draw indexes it
+        self._sorted_benign_names: list[str] = []
         self._used_scam_names: set[str] = set()
         self._scam_serial = 0
 
@@ -122,23 +128,41 @@ class NameFactory:
         # 'Happy Farm Saga') — the source of Fig 10's mild benign
         # clustering at low thresholds.
         if self._used_benign_names and rng.random() < 0.15:
-            parents = sorted(self._used_benign_names)
+            parents = self._sorted_benign_names
             parent = parents[int(rng.integers(0, len(parents)))]
             for suffix in (" Saga", " Deluxe", " Pro", " World", " Mania"):
                 candidate = parent + suffix
                 if candidate not in self._used_benign_names:
-                    self._used_benign_names.add(candidate)
-                    return candidate
-        for _ in range(60):
-            first = _BENIGN_FIRST[int(rng.integers(0, len(_BENIGN_FIRST)))]
-            second = _BENIGN_SECOND[int(rng.integers(0, len(_BENIGN_SECOND)))]
+                    return self._claim_benign_name(candidate)
+        # Up to 60 tries at an unused 'First Second' pair.  The first try
+        # is two scalar draws.  On a miss the other 59 pairs are drawn in
+        # one call from a saved state; the state is then restored and
+        # exactly the pairs the scalar loop would have drawn are redrawn.
+        first = _BENIGN_FIRST[int(rng.integers(0, len(_BENIGN_FIRST)))]
+        second = _BENIGN_SECOND[int(rng.integers(0, len(_BENIGN_SECOND)))]
+        candidate = f"{first} {second}"
+        if candidate not in self._used_benign_names:
+            return self._claim_benign_name(candidate)
+        saved = rng.bit_generator.state
+        bounds = [len(_BENIGN_FIRST), len(_BENIGN_SECOND)] * 59
+        draws = bounded_integers(rng, 0, bounds)
+        for k in range(0, len(draws), 2):
+            first = _BENIGN_FIRST[draws[k]]
+            second = _BENIGN_SECOND[draws[k + 1]]
             candidate = f"{first} {second}"
             if candidate not in self._used_benign_names:
-                self._used_benign_names.add(candidate)
-                return candidate
-        # Combinatorial space exhausted: fall back to a serial.
+                rng.bit_generator.state = saved
+                bounded_integers(rng, 0, bounds[: k + 2])
+                return self._claim_benign_name(candidate)
+        # Combinatorial space exhausted: the stream already stands where
+        # 60 scalar tries leave it.  Fall back to a serial.
         self._benign_serial += 1
         return f"{first} {second} {self._benign_serial}"
+
+    def _claim_benign_name(self, name: str) -> str:
+        self._used_benign_names.add(name)
+        bisect.insort(self._sorted_benign_names, name)
+        return name
 
     # -- malicious -----------------------------------------------------------
 

@@ -10,7 +10,9 @@ truth.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from repro.ecosystem.names import NameFactory
 from repro.ecosystem.params import GenerationParams
 from repro.ecosystem.piggyback import PiggybackOperation
 from repro.ecosystem.services import EcosystemServices
+from repro.obs import get_observer
 from repro.platform.apps import AppRegistry, FacebookApp
 from repro.platform.graph_api import GraphApi
 from repro.platform.install import InstallationService
@@ -121,48 +124,56 @@ def run_simulation(
     rngs = RngRegistry(config.master_seed)
 
     services = _build_services(config, rngs)
-    _seed_spam_domain_pool(config, params, services, rngs)
-    users = UserBase(config.n_users, rngs.stream("users"))
-    tokens = TokenService()
-    installer = InstallationService(
-        services.registry, tokens, users, rngs.stream("installs")
-    )
-    graph_api = GraphApi(services.registry, services.post_log)
+    log = services.post_log
+    with _phase("populations", log):
+        _seed_spam_domain_pool(config, params, services, rngs)
+        users = UserBase(config.n_users, rngs.stream("users"))
+        tokens = TokenService()
+        installer = InstallationService(
+            services.registry, tokens, users, rngs.stream("installs")
+        )
+        graph_api = GraphApi(services.registry, services.post_log)
 
-    n_apps = config.n_apps
-    n_malicious = max(20, int(round(n_apps * params.malicious_app_fraction)))
-    n_benign = n_apps - n_malicious
+        n_apps = config.n_apps
+        n_malicious = max(20, int(round(n_apps * params.malicious_app_fraction)))
+        n_benign = n_apps - n_malicious
 
-    benign = BenignPopulation(
-        services, params, rngs.stream("benign"), scale=config.scale
-    )
-    benign.build(n_benign, crawl_months=schedule.crawl_months)
+        benign = BenignPopulation(
+            services, params, rngs.stream("benign"), scale=config.scale
+        )
+        benign.build(n_benign, crawl_months=schedule.crawl_months)
 
-    campaigns = _build_campaigns(
-        config, params, services, rngs, n_malicious, schedule.crawl_months
-    )
+    with _phase("campaigns", log):
+        campaigns = _build_campaigns(
+            config, params, services, rngs, n_malicious, schedule.crawl_months
+        )
 
-    _emit_all_posts(config, params, rngs, benign, campaigns, schedule.horizon_days)
-
-    piggyback = PiggybackOperation(
-        graph_api, services, params, rngs.stream("piggyback")
-    )
-    n_piggy = min(
-        max(2, config.count(params.piggybacked_popular_apps)), len(benign.apps)
-    )
-    own_counts = {
-        app.app_id: services.post_log.post_count(app.app_id)
-        for app in benign.apps[:n_piggy]
-    }
-    popular = piggyback.run(
-        benign.apps[:n_piggy], own_counts, schedule.horizon_days
+    _emit_all_posts(
+        config, params, rngs, services, benign, campaigns, schedule.horizon_days
     )
 
-    _assign_clicks(config, params, services, rngs)
+    with _phase("piggyback", log):
+        piggyback = PiggybackOperation(
+            graph_api, services, params, rngs.stream("piggyback")
+        )
+        n_piggy = min(
+            max(2, config.count(params.piggybacked_popular_apps)), len(benign.apps)
+        )
+        own_counts = {
+            app.app_id: services.post_log.post_count(app.app_id)
+            for app in benign.apps[:n_piggy]
+        }
+        popular = piggyback.run(
+            benign.apps[:n_piggy], own_counts, schedule.horizon_days
+        )
 
-    moderation = _run_moderation(
-        config, params, services, tokens, rngs, schedule
-    )
+    with _phase("clicks", log):
+        _assign_clicks(config, params, services, rngs)
+
+    with _phase("moderation", log):
+        moderation = _run_moderation(
+            config, params, services, tokens, rngs, schedule
+        )
 
     socialbakers = SocialBakers(rngs.stream("socialbakers"))
     socialbakers.vet_population(
@@ -317,10 +328,22 @@ def _build_campaigns(
     return campaigns
 
 
+@contextmanager
+def _phase(name: str, post_log: PostLog) -> Iterator[None]:
+    """Profile one simulation phase and count the wall posts it emits."""
+    obs = get_observer()
+    before = len(post_log)
+    with obs.profile(f"simulate.{name}"):
+        yield
+    if obs.enabled and len(post_log) > before:
+        obs.count("posts_emitted_total", len(post_log) - before, phase=name)
+
+
 def _emit_all_posts(
     config: ScaleConfig,
     params: GenerationParams,
     rngs: RngRegistry,
+    services: EcosystemServices,
     benign: BenignPopulation,
     campaigns: list[HackerCampaign],
     horizon_days: int,
@@ -332,39 +355,52 @@ def _emit_all_posts(
     :func:`_emit_appless_posts` after the app populations post.
     """
     rng = rngs.stream("post-allocation")
+    log = services.post_log
     total_posts = config.n_posts
     app_posts = int(round(total_posts * (1.0 - params.appless_post_fraction)))
     benign_budget = int(round(app_posts * params.benign_fraction_of_posts))
     malicious_budget = app_posts - benign_budget
 
-    benign_counts = _allocate(rng, benign.post_weights(), benign_budget)
-    for app, count in zip(benign.apps, benign_counts):
-        benign.emit_posts(app, int(count), horizon_days)
+    with _phase("benign_posts", log):
+        benign_counts = _allocate(rng, benign.post_weights(), benign_budget)
+        for app, count in zip(benign.apps, benign_counts):
+            benign.emit_posts(app, int(count), horizon_days)
 
-    weights: list[np.ndarray] = []
-    for campaign in campaigns:
-        weights.append(campaign.post_weights())
-    if weights:
-        flat = np.concatenate(weights)
-        counts = _allocate(rng, flat, malicious_budget)
-        offset = 0
-        for campaign, campaign_weights in zip(campaigns, weights):
-            for app, count in zip(
-                campaign.apps, counts[offset : offset + len(campaign_weights)]
-            ):
-                campaign.emit_posts(app, int(count), horizon_days)
-            offset += len(campaign_weights)
+    with _phase("campaign_posts", log):
+        weights: list[np.ndarray] = []
+        for campaign in campaigns:
+            weights.append(campaign.post_weights())
+        if weights:
+            flat = np.concatenate(weights)
+            counts = _allocate(rng, flat, malicious_budget)
+            offset = 0
+            for campaign, campaign_weights in zip(campaigns, weights):
+                for app, count in zip(
+                    campaign.apps, counts[offset : offset + len(campaign_weights)]
+                ):
+                    campaign.emit_posts(app, int(count), horizon_days)
+                offset += len(campaign_weights)
 
-    appless_budget = total_posts - app_posts
-    _emit_appless_posts(
-        params, rngs, benign, campaigns, appless_budget, horizon_days
-    )
+    with _phase("appless_posts", log):
+        _emit_appless_posts(
+            params,
+            rngs.stream("appless-posts"),
+            services,
+            campaigns,
+            total_posts - app_posts,
+            horizon_days,
+        )
+
+
+#: App-less posts buffered per batched messages-stream draw; bounded so
+#: the buffer stays small next to the ~91K posts of a full-scale run.
+_APPLESS_CHUNK = 4096
 
 
 def _emit_appless_posts(
     params: GenerationParams,
-    rngs: RngRegistry,
-    benign: BenignPopulation,
+    rng: np.random.Generator,
+    services: EcosystemServices,
     campaigns: list[HackerCampaign],
     budget: int,
     horizon_days: int,
@@ -374,54 +410,59 @@ def _emit_appless_posts(
     Most are ordinary chatter; a small share are users manually
     resharing scam links, which is why 27% of the paper's *malicious*
     posts have no associated application.
+
+    *rng* mixes doubles, Poisson draws and integers, so its pass stays
+    scalar and records each post's kind.  The messages stream sees only
+    bounded integers here, so each chunk's texts are one batched draw.
     """
-    rng = rngs.stream("appless-posts")
-    messages = benign._messages  # same factory as the app populations
-    post_log = benign._post_log
-    n_users = benign._n_users
     lure_pools = [
         [short for _landing, short in c.loud_lure_urls]
         for c in campaigns
         if c.loud_lure_urls
     ]
-    for _ in range(budget):
-        day = int(rng.integers(0, horizon_days))
-        user_id = int(rng.integers(0, n_users))
-        if lure_pools and rng.random() < params.appless_malicious_share:
-            pool = lure_pools[int(rng.integers(0, len(lure_pools)))]
-            link = pool[int(rng.integers(0, len(pool)))]
-            likes = int(rng.poisson(0.8))
-            post_log.new_post(
-                day=day,
-                user_id=user_id,
-                app_id=None,
-                message=messages.spam_message(messages.campaign_template()),
-                link=link,
-                likes=likes,
-                comments=int(rng.poisson(0.3)),
-                truth_malicious=True,
-            )
-            continue
-        draw = rng.random()
-        if draw < 0.70:
-            link = None
-        elif draw < 0.95:
-            link = (
-                f"http://blog{int(rng.integers(1, 2000))}.example-news.com/"
-                f"story/{int(rng.integers(1, 100_000))}"
-            )
+    integers = rng.integers
+    random = rng.random
+    poisson = rng.poisson
+    n_users = services.n_users
+    malicious_share = params.appless_malicious_share
+    rows: list[tuple[int, int, str | None, int, int, bool]] = []
+    for index in range(budget):
+        day = int(integers(0, horizon_days))
+        user_id = int(integers(0, n_users))
+        if lure_pools and random() < malicious_share:
+            pool = lure_pools[int(integers(0, len(lure_pools)))]
+            link = pool[int(integers(0, len(pool)))]
+            likes = int(poisson(0.8))
+            rows.append((day, user_id, link, likes, int(poisson(0.3)), True))
         else:
-            link = f"https://www.facebook.com/photo.php?fbid={int(rng.integers(10**9, 10**10))}"
-        post_log.new_post(
-            day=day,
-            user_id=user_id,
-            app_id=None,
-            message=messages.chatter_message(),
-            link=link,
-            likes=int(rng.poisson(6.0)),
-            comments=int(rng.poisson(2.0)),
-            truth_malicious=False,
-        )
+            draw = random()
+            if draw < 0.70:
+                link = None
+            elif draw < 0.95:
+                link = (
+                    f"http://blog{int(integers(1, 2000))}.example-news.com/"
+                    f"story/{int(integers(1, 100_000))}"
+                )
+            else:
+                link = (
+                    "https://www.facebook.com/photo.php?fbid="
+                    f"{int(integers(10**9, 10**10))}"
+                )
+            likes = int(poisson(6.0))
+            rows.append((day, user_id, link, likes, int(poisson(2.0)), False))
+        if len(rows) == _APPLESS_CHUNK or index == budget - 1:
+            _post_appless_rows(services, rows)
+            rows = []
+
+
+def _post_appless_rows(
+    services: EcosystemServices,
+    rows: list[tuple[int, int, str | None, int, int, bool]],
+) -> None:
+    texts = services.messages.appless_messages([row[5] for row in rows])
+    new_post = services.post_log.new_post
+    for (day, user_id, link, likes, comments, malicious), text in zip(rows, texts):
+        new_post(day, user_id, None, None, text, link, likes, comments, malicious)
 
 
 def _allocate(

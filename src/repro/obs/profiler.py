@@ -95,10 +95,11 @@ class Profiler:
         rows = self.snapshot()
         if not rows:
             return "(no profiled stages)"
-        lines = [f"{'stage':<12} {'calls':>8} {'cpu_s':>10} {'sim_s':>12}"]
+        width = max(12, *map(len, rows))
+        lines = [f"{'stage':<{width}} {'calls':>8} {'cpu_s':>10} {'sim_s':>12}"]
         for name, data in rows.items():
             lines.append(
-                f"{name:<12} {data['calls']:>8} "
+                f"{name:<{width}} {data['calls']:>8} "
                 f"{data['cpu_s']:>10.3f} {data['sim_s']:>12.1f}"
             )
         return "\n".join(lines)

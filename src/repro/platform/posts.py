@@ -68,26 +68,50 @@ class PostLog:
     def __iter__(self) -> Iterator[Post]:
         return iter(self._posts)
 
-    def new_post(self, **kwargs) -> Post:
+    def new_post(
+        self,
+        day: int,
+        user_id: int,
+        app_id: str | None,
+        app_name: str | None = None,
+        message: str = "",
+        link: str | None = None,
+        likes: int = 0,
+        comments: int = 0,
+        truth_malicious: bool = False,
+        truth_piggybacked: bool = False,
+    ) -> Post:
         """Create, append, and return a post with the next post ID."""
-        post = Post(post_id=len(self._posts), **kwargs)
+        post = Post(
+            len(self._posts), day, user_id, app_id, app_name, message, link,
+            likes, comments, truth_malicious, truth_piggybacked,
+        )
         self.append(post)
         return post
 
     def append(self, post: Post) -> None:
+        """Append *post* and fold it into the per-app aggregates."""
         if post.post_id != len(self._posts):
             raise ValueError(
                 f"post IDs must be dense: expected {len(self._posts)}, "
                 f"got {post.post_id}"
             )
         self._posts.append(post)
-        if post.app_id is not None:
-            self._post_ids_by_app.setdefault(post.app_id, []).append(post.post_id)
-            if post.app_name is not None:
-                self._name_of_app.setdefault(post.app_id, post.app_name)
-            if post.link is not None:
-                counts = self._url_counts_by_app.setdefault(post.app_id, Counter())
-                counts[post.link] += 1
+        app_id = post.app_id
+        if app_id is None:
+            return
+        post_ids = self._post_ids_by_app.get(app_id)
+        if post_ids is None:
+            post_ids = self._post_ids_by_app[app_id] = []
+        post_ids.append(post.post_id)
+        if post.app_name is not None and app_id not in self._name_of_app:
+            self._name_of_app[app_id] = post.app_name
+        link = post.link
+        if link is not None:
+            counts = self._url_counts_by_app.get(app_id)
+            if counts is None:
+                counts = self._url_counts_by_app[app_id] = Counter()
+            counts[link] = counts.get(link, 0) + 1
 
     def get(self, post_id: int) -> Post:
         return self._posts[post_id]

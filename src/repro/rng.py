@@ -10,10 +10,11 @@ subsystem does not perturb any other subsystem's stream.
 from __future__ import annotations
 
 import hashlib
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["RngRegistry", "derive_seed"]
+__all__ = ["RngRegistry", "bounded_integers", "derive_seed"]
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -25,6 +26,32 @@ def derive_seed(master_seed: int, name: str) -> int:
     """
     digest = hashlib.sha256(f"{master_seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def bounded_integers(
+    rng: np.random.Generator, low: int | Sequence[int], high: Sequence[int]
+) -> list[int]:
+    """Draw ``integers(low[i], high[i])`` for every *i* in one call.
+
+    The contract: the result equals the scalar sequence
+    ``[int(rng.integers(lo, hi)) for lo, hi in zip(low, high)]`` and
+    leaves ``rng.bit_generator.state`` exactly where that sequence
+    would.  numpy's ``Generator.integers`` with a bound per element runs
+    the same bounded Lemire draw per element as a scalar call, on the
+    same buffered 32-bit stream (64-bit words for ranges above 2**32),
+    so a loop whose stream sees *only* bounded integers can be replaced
+    by one call here.  Width-1 ranges (``high == low + 1``) consume no
+    bits, as in the scalar call.  *low* is one int for every element or
+    a sequence as long as *high*; empty *high* draws nothing.
+
+    A stream that also sees doubles, Poisson or other samplers between
+    the integers must stay scalar: batching would reorder its draws.
+    """
+    if len(high) == 0:
+        return []
+    return rng.integers(
+        np.asarray(low, dtype=np.int64), np.asarray(high, dtype=np.int64)
+    ).tolist()
 
 
 class RngRegistry:

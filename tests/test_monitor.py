@@ -22,6 +22,7 @@ Pins the contracts ``repro monitor`` is built on:
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 
 import pytest
@@ -498,6 +499,25 @@ class TestSupervisedRunner:
         journal.close()
         return monitor.export_history_bytes()
 
+    def test_clean_worker_matches_inline_and_leaves_gc_unfrozen(
+        self, app_ids, tmp_path
+    ):
+        expected = self.reference_history(app_ids, tmp_path)
+        world = build_world()
+        journal = MonitorJournal(tmp_path / "mon")
+        monitor = AppMonitor(
+            world, make_crawler(world), app_ids,
+            config=MonitorConfig(epochs=1), journal=journal,
+        )
+        runner = SupervisedEpochRunner(monitor, heartbeat_timeout_s=10.0)
+        runner.run_epoch(0)
+        journal.close()
+        assert runner.restarts == 0
+        assert runner.inline_fallbacks == 0
+        # The fork-time freeze is undone in the supervisor.
+        assert gc.get_freeze_count() == 0
+        assert monitor.export_history_bytes() == expected
+
     def test_killed_worker_restarts_and_stays_byte_identical(
         self, app_ids, tmp_path
     ):
@@ -514,6 +534,7 @@ class TestSupervisedRunner:
         runner.run_epoch(0)
         journal.close()
         assert runner.restarts == 1
+        assert gc.get_freeze_count() == 0
         assert monitor.export_history_bytes() == expected
 
     def test_hung_worker_reaped_by_heartbeat_deadline(
@@ -554,6 +575,7 @@ class TestSupervisedRunner:
         runner.run_epoch(0)
         journal.close()
         assert runner.inline_fallbacks == 1
+        assert gc.get_freeze_count() == 0
         assert monitor.export_history_bytes() == expected
 
     def test_raising_worker_restarts_and_stays_byte_identical(

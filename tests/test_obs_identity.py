@@ -197,3 +197,28 @@ def test_monitor_epoch_identical_with_observation_on(tmp_path):
     assert unobserved == observed
     assert observer.metrics.counter_value("monitor_appends_total") > 0
     assert observer.metrics.counter_value("monitor_epochs_total") == 2.0
+
+
+def test_simulation_phases_profiled_and_world_identical():
+    """Every ``run_simulation`` phase is a profile stage, the emitted
+    posts are counted per phase, and the world is unchanged."""
+    config = ScaleConfig(**CHAOS)
+    unobserved = run_simulation(config)
+    observer = TracingObserver()
+    with observation(observer):
+        observed = run_simulation(config)
+    assert list(observed.post_log) == list(unobserved.post_log)
+    assert [repr(a) for a in observed.registry.all_apps()] == [
+        repr(a) for a in unobserved.registry.all_apps()
+    ]
+    phases = (
+        "populations", "campaigns", "benign_posts", "campaign_posts",
+        "appless_posts", "piggyback", "clicks", "moderation",
+    )
+    stages = observer.profiler.snapshot()
+    assert {f"simulate.{phase}" for phase in phases} <= set(stages)
+    emitted = sum(
+        observer.metrics.counter_value("posts_emitted_total", phase=phase)
+        for phase in phases
+    )
+    assert emitted == len(observed.post_log)
