@@ -440,7 +440,6 @@ def run_bench(mode: str = "quick", seed: int = 2012) -> dict[str, Any]:
     }
     return {
         "schema_version": BENCH_VERSION,
-        "bench_version": BENCH_VERSION,  # legacy alias for old tooling
         "mode": mode,
         "seed": seed,
         "python": platform.python_version(),

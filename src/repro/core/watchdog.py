@@ -136,9 +136,6 @@ class AppWatchdog:
         """
         return 100.0 / (1.0 + math.exp(-margin * self._margin_scale))
 
-    # Backwards-compatible alias (pre-service callers).
-    _risk_from_margin = risk_from_margin
-
     def _margin_and_tier(self, record: CrawlRecord) -> tuple[float, str]:
         if isinstance(self._classifier, FrappeCascade):
             return self._classifier.decision_function_one(record)
@@ -196,7 +193,7 @@ class AppWatchdog:
         assessment = AppAssessment(
             app_id=record.app_id,
             name=name,
-            risk_score=self._risk_from_margin(margin),
+            risk_score=self.risk_from_margin(margin),
             assessed_day=day,
             confidence=CONFIDENCE_BY_TIER[tier],
         )

@@ -14,10 +14,14 @@ Robustness is the contract, not a feature:
 
 * **Kill-anywhere resume.** Every observation (and each epoch's
   dispatch plan) is one checksummed, fsynced line in a
-  :class:`MonitorJournal` — a :mod:`repro.durable` log.  The line
-  carries the crawler state, the scheduler state, and the epoch
-  cursor, so SIGKILL at any instant resumes to a byte-identical history
-  store and schedule.
+  :class:`MonitorJournal` — a :mod:`repro.durable` log.  Crawler and
+  scheduler state ride on two lines per epoch only: the plan line
+  (the epoch's start) and the epoch's last planned observation (its
+  end).  A restart restores the start of the earliest epoch with a
+  hole, or else the end of the last epoch, and walks the plan again:
+  an observation that is already durable is re-derived and checked
+  against its line instead of appended.  So SIGKILL at any instant
+  resumes to a byte-identical history store and schedule.
 * **Blackout backpressure.**  Before dispatching an app the monitor
   polls the transport for an active blackout window
   (:meth:`FaultyTransport.active_blackout`); inside one it *pauses* —
@@ -81,6 +85,8 @@ __all__ = [
     "FORENSIC_EVENT_KINDS",
     "MonitorConfig",
     "MonitorJournal",
+    "MonitorJournalVersionError",
+    "MonitorReplayError",
     "MonitorReport",
     "AppMonitor",
     "SupervisedEpochRunner",
@@ -153,6 +159,14 @@ class MonitorReport:
     quarantined: int = 0
 
 
+class MonitorJournalVersionError(ValueError):
+    """A monitor history written in another line format: not resumable."""
+
+
+class MonitorReplayError(RuntimeError):
+    """A re-derived observation differs from its durable journal line."""
+
+
 class MonitorJournal:
     """The monitor's WAL: observations + epoch plans, one line each.
 
@@ -165,10 +179,17 @@ class MonitorJournal:
     deletion event) is quarantined to the same sidecar — even on the
     final line — and the loop continues without it.  An identical
     duplicate is dropped.
+
+    Lines are format ``v`` 2: only an epoch's plan line and its last
+    planned observation carry ``state`` (crawler, scheduler, and the
+    epoch cursor — the epoch for the plan line, the next one for the
+    last observation).  A journal holding any other version is refused
+    with :class:`MonitorJournalVersionError`.
     """
 
     JOURNAL_NAME = "monitor.jsonl"
     META_NAME = "meta.json"
+    FORMAT_VERSION = 2
     #: app_id of a journaled epoch dispatch plan
     PLAN_SENTINEL = "__plan__"
     #: one line's entry, or ``None`` if damaged
@@ -183,6 +204,9 @@ class MonitorJournal:
         self._observations: dict[tuple[int, str], dict] = {}
         #: epoch -> journaled dispatch plan
         self._plans: dict[int, list[str]] = {}
+        #: (cursor, is plan line) -> journaled state; the key sorts an
+        #: epoch's end before the next epoch's plan line
+        self._states: dict[tuple[int, bool], dict] = {}
         #: apps with a journaled deletion event, and at which epoch
         self._deleted_at: dict[str, int] = {}
         self.quarantined = 0
@@ -215,6 +239,13 @@ class MonitorJournal:
         decoded, bad, torn = scan(path.read_bytes(), self.decode)
         good: list[tuple[bytes, dict]] = []
         for piece, payload in decoded:
+            if payload.get("v") != self.FORMAT_VERSION:
+                raise MonitorJournalVersionError(
+                    f"monitor history at {self.directory} holds format "
+                    f"v{payload.get('v')} lines; this build reads only "
+                    f"v{self.FORMAT_VERSION}. Start a fresh history: point "
+                    "--checkpoint at a new directory."
+                )
             problem = self._admit(payload)
             if problem is None:
                 good.append((piece, payload))
@@ -246,6 +277,11 @@ class MonitorJournal:
         app_id = payload.get("app_id")
         if not isinstance(epoch, int) or epoch < 0 or not isinstance(app_id, str):
             return "malformed"
+        state = payload.get("state")
+        if state is not None and not (
+            isinstance(state, dict) and isinstance(state.get("epoch"), int)
+        ):
+            return "malformed"
         if app_id == self.PLAN_SENTINEL:
             plan = payload.get("plan")
             if not isinstance(plan, list):
@@ -253,13 +289,11 @@ class MonitorJournal:
             stored = self._plans.get(epoch)
             if stored is not None:
                 return "duplicate" if stored == plan else "conflicting-plan"
-            self._plans[epoch] = [str(a) for a in plan]
-            self.entries.append(payload)
+            self._index(payload)
             return None
         if not isinstance(payload.get("record"), dict):
             return "malformed"
-        key = (epoch, app_id)
-        stored = self._observations.get(key)
+        stored = self._observations.get((epoch, app_id))
         if stored is not None:
             return "duplicate" if stored == payload else "conflicting-observation"
         deleted_epoch = self._deleted_at.get(app_id)
@@ -271,46 +305,82 @@ class MonitorJournal:
             # A deleted app never comes back; an entry claiming it did
             # contradicts durable history and must not poison it.
             return "resurrection"
-        self._observations[key] = payload
-        self.entries.append(payload)
-        for event in payload.get("events", []):
-            if event.get("kind") == "deletion":
-                self._deleted_at.setdefault(app_id, epoch)
+        self._index(payload)
         return None
 
-    # -- replay API --------------------------------------------------------
+    def _index(self, payload: dict) -> None:
+        """Add one admitted (or freshly appended) entry to the indexes."""
+        epoch, app_id = payload["epoch"], payload["app_id"]
+        state = payload.get("state")
+        if state is not None:
+            self._states[(state["epoch"], app_id == self.PLAN_SENTINEL)] = state
+        if app_id == self.PLAN_SENTINEL:
+            self._plans[epoch] = [str(a) for a in payload["plan"]]
+        else:
+            self._observations[(epoch, app_id)] = payload
+            for event in payload.get("events", []):
+                if event.get("kind") == "deletion":
+                    self._deleted_at.setdefault(app_id, epoch)
+        self.entries.append(payload)
 
-    def observed(self, epoch: int) -> set[str]:
-        """Apps with a durable observation at *epoch*."""
-        return {a for (e, a) in self._observations if e == epoch}
+    # -- replay API --------------------------------------------------------
 
     def plan_for(self, epoch: int) -> list[str] | None:
         return self._plans.get(epoch)
 
-    @property
-    def state(self) -> dict | None:
-        """The continuation state of the last durable entry."""
-        if not self.entries:
-            return None
-        return self.entries[-1].get("state")
+    def observation(self, epoch: int, app_id: str) -> dict | None:
+        """The durable observation of *app_id* at *epoch*, if any."""
+        return self._observations.get((epoch, app_id))
 
-    def latest_records(self) -> dict[str, CrawlRecord]:
+    def _first_hole(self) -> int | None:
+        """The earliest epoch with no plan or a planned app unobserved."""
+        last = max(
+            [*self._plans, *(epoch for epoch, _ in self._observations)],
+            default=-1,
+        )
+        for epoch in range(last + 1):
+            plan = self._plans.get(epoch)
+            if plan is None or any(
+                (epoch, app_id) not in self._observations for app_id in plan
+            ):
+                return epoch
+        return None
+
+    def resume_state(self) -> dict | None:
+        """The journaled state a restart continues from.
+
+        The start of the earliest epoch with a hole (its plan line, or
+        the previous epoch's end when the plan line itself is lost);
+        with no hole, the end of the last epoch.
+        """
+        hole = self._first_hole()
+        keys = [
+            key for key in self._states
+            if hole is None or key <= (hole, True)
+        ]
+        return self._states[max(keys)] if keys else None
+
+    def latest_jsonable(self, before: int | None = None) -> dict[str, dict]:
+        """Each app's highest-epoch durable record (below *before*), as JSON.
+
+        Highest epoch, not last line: a re-crawled hole is appended
+        after observations of later epochs.
+        """
+        latest: dict[str, tuple[int, dict]] = {}
+        for (epoch, app_id), entry in self._observations.items():
+            if before is not None and epoch >= before:
+                continue
+            held = latest.get(app_id)
+            if held is None or epoch > held[0]:
+                latest[app_id] = (epoch, entry["record"])
+        return {app_id: record for app_id, (_, record) in latest.items()}
+
+    def latest_records(self, before: int | None = None) -> dict[str, CrawlRecord]:
         """Each app's most recent durable observation, decoded fresh."""
-        latest: dict[str, dict] = {}
-        for entry in self.entries:
-            if entry["app_id"] != self.PLAN_SENTINEL:
-                latest[entry["app_id"]] = entry["record"]
         return {
             app_id: record_from_jsonable(data)
-            for app_id, data in latest.items()
+            for app_id, data in self.latest_jsonable(before).items()
         }
-
-    def history_of(self, app_id: str) -> list[dict]:
-        """All durable observations of one app, oldest first."""
-        return [
-            e for e in self.entries
-            if e["app_id"] == app_id and e["app_id"] != self.PLAN_SENTINEL
-        ]
 
     def forensic_events(self) -> list[ForensicEvent]:
         events: list[ForensicEvent] = []
@@ -333,24 +403,22 @@ class MonitorJournal:
         self._fh.write(line)
         self._fh.flush()
         os.fsync(self._fh.fileno())
+        self._index(payload)
 
     def append_plan(self, epoch: int, plan: list[str], state: dict) -> None:
-        """Pin this epoch's dispatch order before the first crawl.
+        """Pin this epoch's dispatch order and start state before crawling.
 
         Without the pinned plan, a mid-epoch resume would recompute the
         plan from *updated* schedule entries, and an exploration policy
         could pick different extras than the uninterrupted run did.
         """
-        payload = {
-            "v": 1,
+        self._append({
+            "v": self.FORMAT_VERSION,
             "app_id": self.PLAN_SENTINEL,
             "epoch": epoch,
             "plan": list(plan),
             "state": state,
-        }
-        self._append(payload)
-        self._plans[epoch] = list(plan)
-        self.entries.append(payload)
+        })
 
     def append_observation(
         self,
@@ -358,39 +426,38 @@ class MonitorJournal:
         record: CrawlRecord,
         assessment: dict | None,
         events: list[ForensicEvent],
-        state: dict,
+        state: dict | None = None,
     ) -> None:
-        """Make one observation durable (written + flushed + fsynced)."""
+        """Make one observation durable (written + flushed + fsynced).
+
+        *state* is the epoch's end state, given only with the epoch's
+        last planned observation.
+        """
+        self._append(
+            self.observation_line(epoch, record, assessment, events, state)
+        )
+
+    @classmethod
+    def observation_line(
+        cls,
+        epoch: int,
+        record: CrawlRecord,
+        assessment: dict | None,
+        events: list[ForensicEvent],
+        state: dict | None = None,
+    ) -> dict:
+        """The entry :meth:`append_observation` writes for these values."""
         payload = {
-            "v": 1,
+            "v": cls.FORMAT_VERSION,
             "app_id": record.app_id,
             "epoch": epoch,
             "record": record_to_jsonable(record),
             "assessment": assessment,
             "events": [e.jsonable() for e in events],
-            "state": state,
         }
-        self._append(payload)
-        self._observations[(epoch, record.app_id)] = payload
-        self.entries.append(payload)
-        for event in events:
-            if event.kind == "deletion":
-                self._deleted_at.setdefault(record.app_id, epoch)
-        obs = get_observer()
-        if obs.enabled:
-            clock = (
-                state.get("crawler", {}).get("transport", {}).get("stats", {})
-            )
-            obs.event(
-                "monitor.append",
-                t=float(clock.get("service_s", 0.0))
-                + float(clock.get("wait_s", 0.0)),
-                category="monitor",
-                app_id=record.app_id,
-                epoch=epoch,
-                events=len(events),
-            )
-            obs.count("monitor_appends_total")
+        if state is not None:
+            payload["state"] = state
+        return payload
 
     def close(self) -> None:
         if self._fh is not None:
@@ -411,9 +478,9 @@ class AppMonitor:
     optional :class:`MonitorJournal`, and optionally a trained
     :class:`~repro.core.watchdog.AppWatchdog` (suspicion scores) and a
     :class:`~repro.service.cache.VerdictCache` (forensic events evict
-    cached verdicts).  All state needed to continue rides on every
-    journal line; :meth:`run` resumes transparently from whatever is
-    durable.
+    cached verdicts).  The state needed to continue rides on each
+    epoch's plan line and last planned observation;
+    :meth:`run` resumes transparently from whatever is durable.
     """
 
     def __init__(
@@ -472,15 +539,13 @@ class AppMonitor:
     # -- resume ------------------------------------------------------------
 
     def _restore_from_journal(self) -> None:
-        state = self._journal.state
+        self._rebuild_tallies()
+        state = self._journal.resume_state()
         if state is None:
             return
         self._crawler.restore_state(state["crawler"])
         self.scheduler.restore(state["scheduler"])
         self._next_epoch = int(state["epoch"])
-        self._rebuild_tallies()
-        # The restored epoch may already be complete (its state rode on
-        # the last observation); run_epoch detects that via the plan.
 
     def _rebuild_tallies(self) -> None:
         self.forensic_tallies = {}
@@ -518,11 +583,12 @@ class AppMonitor:
         return self._base_schedule.inst_crawl_day \
             + epoch * self.config.stride_days
 
-    def _snapshot(self, epoch: int) -> dict:
+    def _snapshot(self, cursor: int) -> dict:
+        """Crawler + scheduler state, and the epoch a restart runs next."""
         return {
             "crawler": self._crawler.snapshot_state(),
             "scheduler": self.scheduler.snapshot(),
-            "epoch": epoch,
+            "epoch": cursor,
         }
 
     def _suspicion(self, record: CrawlRecord, epoch: int) -> tuple[float, dict | None]:
@@ -651,29 +717,36 @@ class AppMonitor:
     ) -> int:
         """Run (or finish) one epoch; returns fresh observations made.
 
-        Idempotent over the journal: apps already durable at this epoch
-        are skipped, and the dispatch order comes from the journaled
-        plan when one exists (pinning resume order under exploration
-        policies).  *heartbeat* is called after each durable
-        observation — the supervised runner's liveness signal.
+        One loop for live and resumed epochs: it walks the whole plan
+        from the restored state, in the journaled order when a plan is
+        durable (pinning resume order under exploration policies).  An
+        app already durable at this epoch is crawled again and checked
+        against its line (:class:`MonitorReplayError` if it differs)
+        instead of appended, tallied or heartbeated — restored state
+        plus the same calls gives the same records, so the replay is
+        what carries crawler and scheduler across the durable prefix.
+        An epoch before the restored cursor is complete: a no-op.
+        *heartbeat* is called after each fresh durable observation — the
+        supervised runner's liveness signal.
         """
+        if self._journal is not None and epoch < self._next_epoch:
+            return 0
         obs = get_observer()
         self._world.schedule = self._epoch_schedule(epoch)
         if self._lifecycle is not None and epoch >= 1:
             self._lifecycle.apply_until(self._world, self._epoch_day(epoch))
         self.scheduler.ensure(self._app_ids)
-        previous_records = (
-            self._journal.latest_records() if self._journal is not None else {}
-        )
-        if self._journal is not None:
-            plan = self._journal.plan_for(epoch)
+        journal = self._journal
+        if journal is not None:
+            previous_records = journal.latest_records(before=epoch)
+            plan = journal.plan_for(epoch)
             if plan is None:
                 plan = self.scheduler.plan(epoch)
-                self._journal.append_plan(epoch, plan, self._snapshot(epoch))
-            done = self._journal.observed(epoch)
+                journal.append_plan(epoch, plan, self._snapshot(epoch))
         else:
+            previous_records = {}
             plan = self.scheduler.plan(epoch)
-            done = set()
+        last = plan[-1] if plan else None
         fresh = 0
         span_ctx = span = None
         if obs.enabled:
@@ -686,8 +759,10 @@ class AppMonitor:
             span = span_ctx.__enter__()
         try:
             for app_id in plan:
-                if app_id in done:
-                    continue
+                durable = (
+                    journal.observation(epoch, app_id)
+                    if journal is not None else None
+                )
                 blackout = getattr(
                     self._crawler.transport, "active_blackout", None
                 )
@@ -701,16 +776,40 @@ class AppMonitor:
                     self._diff(previous_records.get(app_id), record, epoch)
                     if self.config.forensics else []
                 )
-                self._on_events(events)
                 self.scheduler.observe(
                     app_id, epoch, suspicion, forensic_hits=len(events)
                 )
-                if self._journal is not None:
-                    self._journal.append_observation(
-                        epoch, record, assessment, events,
-                        self._snapshot(epoch),
+                state = (
+                    self._snapshot(epoch + 1)
+                    if journal is not None and app_id == last else None
+                )
+                if durable is not None:
+                    replayed = MonitorJournal.observation_line(
+                        epoch, record, assessment, events, state
                     )
-                previous_records[app_id] = record
+                    if canonical(replayed) != canonical(durable):
+                        raise MonitorReplayError(
+                            f"epoch {epoch} app {app_id}: the re-derived "
+                            "observation differs from its durable line in "
+                            f"{journal.directory}; that history does not "
+                            "replay under this world and configuration"
+                        )
+                    continue
+                self._on_events(events)
+                if journal is not None:
+                    journal.append_observation(
+                        epoch, record, assessment, events, state
+                    )
+                    if obs.enabled:
+                        obs.event(
+                            "monitor.append",
+                            t=self._crawler.stats.elapsed_s,
+                            category="monitor",
+                            app_id=app_id,
+                            epoch=epoch,
+                            events=len(events),
+                        )
+                        obs.count("monitor_appends_total")
                 fresh += 1
                 if heartbeat is not None:
                     heartbeat(app_id, fresh)
@@ -738,7 +837,7 @@ class AppMonitor:
     # -- results -----------------------------------------------------------
 
     def records(self) -> dict[str, CrawlRecord]:
-        """Each app's latest observation (the living dataset)."""
+        """Each app's highest-epoch observation (the living dataset)."""
         if self._journal is not None:
             return self._journal.latest_records()
         return {}
@@ -777,10 +876,7 @@ class AppMonitor:
 
     def export_dataset_bytes(self) -> bytes:
         """Canonical bytes of the latest record per app (the dataset)."""
-        latest: dict[str, dict] = {}
-        for entry in (self._journal.entries if self._journal else []):
-            if entry["app_id"] != MonitorJournal.PLAN_SENTINEL:
-                latest[entry["app_id"]] = entry["record"]
+        latest = self._journal.latest_jsonable() if self._journal else {}
         return canonical({
             "records": [latest[app_id] for app_id in sorted(latest)]
         })
@@ -911,7 +1007,7 @@ class SupervisedEpochRunner:
                 return
         # Every incarnation died: the unconditional last rung.  The
         # journal already holds whatever the workers completed, so the
-        # inline epoch only crawls the remainder.
+        # inline epoch replays that and crawls only the remainder.
         self.inline_fallbacks += 1
         if obs.enabled:
             obs.count("monitor_supervisor_inline_fallbacks_total")

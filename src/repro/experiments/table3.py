@@ -35,7 +35,9 @@ def run(result: PipelineResult) -> ExperimentReport:
     )
     histogram = hosting_domain_histogram(result)
     total = sum(histogram.values())
-    top5 = histogram.most_common(5)
+    # Equal counts rank by domain name, not by the iteration order of
+    # the malicious set (which follows the process hash seed).
+    top5 = sorted(histogram.items(), key=lambda item: (-item[1], item[0]))[:5]
     for rank, ((paper_domain, paper_count), measured) in enumerate(
         zip(PAPER.top_hosting_domains, top5), start=1
     ):

@@ -85,7 +85,6 @@ def _main_args(**overrides):
 def _stub_report(mode="quick"):
     return {
         "schema_version": BENCH_VERSION,
-        "bench_version": BENCH_VERSION,
         "mode": mode,
         "seed": 7,
         "python": "3",
@@ -96,7 +95,7 @@ def _stub_report(mode="quick"):
 
 
 def test_report_is_stamped_with_schema_version(monkeypatch, tmp_path, capsys):
-    """``--out`` reports carry ``schema_version`` (plus the old alias)."""
+    """``--out`` reports carry ``schema_version``."""
     monkeypatch.setattr(
         repro.bench, "run_bench", lambda mode, seed: _stub_report(mode)
     )
@@ -104,7 +103,6 @@ def test_report_is_stamped_with_schema_version(monkeypatch, tmp_path, capsys):
     assert repro.bench.main(_main_args(out=str(out))) == 0
     written = json.loads(out.read_text())
     assert written["schema_version"] == BENCH_VERSION
-    assert written["bench_version"] == BENCH_VERSION
 
 
 def test_missing_baseline_warns_and_passes(monkeypatch, tmp_path, capsys):

@@ -15,6 +15,8 @@ Pins the contracts ``repro monitor`` is built on:
   yields a byte-identical history store, schedule, and dataset;
 * corrupt or contradictory history lines quarantine to ``.corrupt``
   sidecars without halting;
+* journal lines are format v2 — state only on each epoch's plan line
+  and last observation — and a v1 journal is refused;
 * the supervised epoch runner restarts killed/hung workers and falls
   back inline, preserving byte-identity throughout.
 """
@@ -36,6 +38,7 @@ from repro.crawler.monitor import (
     FORENSIC_EVENT_KINDS,
     MonitorConfig,
     MonitorJournal,
+    MonitorJournalVersionError,
     SupervisedEpochRunner,
 )
 from repro.crawler.recrawl import (
@@ -364,12 +367,11 @@ class TestKillAnywhereResume:
 class TestJournalQuarantine:
     def payload(self, epoch, app_id, **extra):
         base = {
-            "v": 1,
+            "v": 2,
             "app_id": app_id,
             "epoch": epoch,
             "record": {"app_id": app_id, "summary_ok": True},
             "events": [],
-            "state": {"epoch": epoch},
         }
         base.update(extra)
         return base
@@ -463,6 +465,20 @@ class TestJournalQuarantine:
         assert len(journal.entries) == 1
         journal.close()
 
+    def test_v1_journal_refused_with_a_typed_error(self, tmp_path):
+        directory = tmp_path / "mon"
+        path = self.write_lines(
+            directory,
+            [self.payload(0, "a", v=1, state={"epoch": 0})],
+        )
+        before = path.read_bytes()
+        with pytest.raises(MonitorJournalVersionError) as excinfo:
+            MonitorJournal(directory)
+        message = str(excinfo.value)
+        assert str(directory) in message
+        assert "fresh history" in message
+        assert path.read_bytes() == before  # refused, not rewritten
+
     def test_fresh_directory_refused_without_resume(self, tmp_path):
         directory = tmp_path / "mon"
         self.write_lines(directory, [self.payload(0, "a")])
@@ -485,6 +501,34 @@ class TestJournalQuarantine:
                 config=MonitorConfig(epochs=3), journal=journal,
             )
         journal.close()
+
+
+class TestJournalFormat:
+    def test_state_only_on_plan_lines_and_each_epochs_last_observation(
+        self, app_ids, tmp_path
+    ):
+        world = build_world()
+        journal = MonitorJournal(tmp_path / "mon")
+        monitor = AppMonitor(
+            world, make_crawler(world), app_ids,
+            config=MonitorConfig(epochs=2, forensics=True, lifecycle=True),
+            journal=journal,
+        )
+        monitor.run()
+        journal.close()
+        carriers = [
+            (e["epoch"], e["app_id"], e["state"]["epoch"])
+            for e in journal.entries if "state" in e
+        ]
+        expected = []
+        for epoch in range(2):
+            plan = journal.plan_for(epoch)
+            expected += [
+                (epoch, MonitorJournal.PLAN_SENTINEL, epoch),
+                (epoch, plan[-1], epoch + 1),
+            ]
+        assert carriers == expected
+        assert {e["v"] for e in journal.entries} == {2}
 
 
 class TestSupervisedRunner:
@@ -535,6 +579,27 @@ class TestSupervisedRunner:
         journal.close()
         assert runner.restarts == 1
         assert gc.get_freeze_count() == 0
+        assert monitor.export_history_bytes() == expected
+
+    def test_worker_killed_after_its_last_observation_is_not_rerun(
+        self, app_ids, tmp_path
+    ):
+        # The epoch is complete on disk when the worker dies; the
+        # restarted worker resumes past it and has nothing to replay.
+        expected = self.reference_history(app_ids, tmp_path)
+        world = build_world()
+        journal = MonitorJournal(tmp_path / "mon")
+        monitor = AppMonitor(
+            world, make_crawler(world), app_ids,
+            config=MonitorConfig(epochs=1), journal=journal,
+        )
+        runner = SupervisedEpochRunner(
+            monitor, chaos=("kill", len(app_ids)), heartbeat_timeout_s=10.0
+        )
+        runner.run_epoch(0)
+        journal.close()
+        assert runner.restarts == 1
+        assert runner.inline_fallbacks == 0
         assert monitor.export_history_bytes() == expected
 
     def test_hung_worker_reaped_by_heartbeat_deadline(

@@ -57,9 +57,9 @@ class TestWatchdog:
         assert scores == sorted(scores, reverse=True)
 
     def test_decision_boundary_maps_to_50(self, watchdog):
-        assert watchdog._risk_from_margin(0.0) == pytest.approx(50.0)
-        assert watchdog._risk_from_margin(5.0) > 95
-        assert watchdog._risk_from_margin(-5.0) < 5
+        assert watchdog.risk_from_margin(0.0) == pytest.approx(50.0)
+        assert watchdog.risk_from_margin(5.0) > 95
+        assert watchdog.risk_from_margin(-5.0) < 5
 
 
 class TestDatasetIo:
