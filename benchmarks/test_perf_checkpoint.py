@@ -1,10 +1,11 @@
 """Checkpoint benchmark: what crash-safety costs the crawl.
 
 Crawls the same D-Sample three ways — no journal, a write-ahead journal
-(fsync per app), and a journal with aggressive snapshot compaction —
-and prints the wall-clock overhead of each durability level.  The
-records must be byte-identical across all three: the journal is pure
-bookkeeping, never allowed to perturb the study.
+(fsync per app), and a resume from a journal that holds the first half
+of the crawl (the durable half is re-crawled and checked, the rest
+crawled and appended) — and prints the wall-clock overhead of each.
+The records must be byte-identical across all three: the journal is
+pure bookkeeping, never allowed to perturb the study.
 
 Run with ``pytest benchmarks/test_perf_checkpoint.py --benchmark-only -s``.
 """
@@ -18,7 +19,13 @@ import time
 import pytest
 
 from repro.config import ScaleConfig
-from repro.crawler.checkpoint import CrawlJournal, record_to_jsonable
+from repro.crawler.checkpoint import (
+    AFTER_APPEND,
+    CrashPlan,
+    CrawlJournal,
+    SimulatedCrash,
+    record_to_jsonable,
+)
 from repro.crawler.crawler import make_crawler
 from repro.crawler.datasets import DatasetBuilder
 from repro.ecosystem.simulation import run_simulation
@@ -29,12 +36,7 @@ CKPT_SCALE = 0.04
 CKPT_SEED = 2012
 CKPT_FAULT_RATE = 0.2
 
-#: variant -> snapshot_every (None = no journal at all)
-VARIANTS = {
-    "no-journal": None,
-    "journal": 1_000_000,  # never compacts inside the run
-    "journal-compacting": 16,
-}
+VARIANTS = ("no-journal", "journal", "journal-resume-half")
 
 _world_cache: dict = {}
 _canons: dict[str, bytes] = {}
@@ -68,17 +70,32 @@ def _canon(records) -> bytes:
     ).encode()
 
 
-@pytest.mark.parametrize("variant", list(VARIANTS))
+def _half_durable(world, apps, directory) -> None:
+    """Leave *directory* holding the first half of the crawl, durably."""
+    with CrawlJournal(directory) as journal:
+        try:
+            make_crawler(world).crawl_many(
+                apps,
+                journal=journal,
+                crash_plan=CrashPlan(len(apps) // 2 - 1, AFTER_APPEND),
+            )
+        except SimulatedCrash:
+            pass
+    world.installer.restore_rng_state(_world_cache["rng_state"])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_perf_checkpoint_overhead(benchmark, tmp_path, variant):
     world, apps = _world_and_sample()
-    snapshot_every = VARIANTS[variant]
 
     def run():
         world.installer.restore_rng_state(_world_cache["rng_state"])
         journal = None
-        if snapshot_every is not None:
+        if variant != "no-journal":
             directory = tmp_path / f"ck{next(_dir_counter)}"
-            journal = CrawlJournal(directory, snapshot_every=snapshot_every)
+            if variant == "journal-resume-half":
+                _half_durable(world, apps, directory)
+            journal = CrawlJournal(directory)
         started = time.perf_counter()
         try:
             records = make_crawler(world).crawl_many(apps, journal=journal)

@@ -99,9 +99,12 @@ def main() -> None:
     shutil.rmtree(checkpoint, ignore_errors=True)
 
     print("\nThe journal made every completed app durable (written, "
-          "flushed, fsynced)\nbefore the next one started; the torn line "
-          "from death #2 was truncated on\nresume and its app re-crawled. "
-          "See repro.crawler.checkpoint for the contract.")
+          "flushed, fsynced)\nbefore the next one started. Each resume "
+          "restored the crawl's start state,\nre-crawled every durable app "
+          "and checked it against its line, and appended\nthe rest; the "
+          "torn line from death #2 was truncated and its app crawled\n"
+          "again in its place. See repro.crawler.checkpoint for the "
+          "contract.")
 
 
 if __name__ == "__main__":

@@ -26,12 +26,14 @@ Quickstart::
 
 Durability: long crawls are crash-safe.  :class:`CrawlJournal` is a
 write-ahead log — once ``append`` returns, that app's record is on disk
-(written, flushed, fsynced) and survives any process death; killing a
-checkpointed crawl anywhere and resuming it yields records, and an
-exported dataset, byte-identical to an uninterrupted run.
-:func:`atomic_write` is the shared all-or-nothing file write behind the
-journal's snapshots and the dataset export, and :exc:`SimulatedCrash`
-is the injected process death the crash tests kill crawls with::
+(written, flushed, fsynced) and survives any process death; a resumed
+crawl restores its start state, re-crawls and checks what is durable,
+and crawls the rest, so killing a checkpointed crawl anywhere and
+resuming it yields records, and an exported dataset, byte-identical to
+an uninterrupted run.  :func:`atomic_write` is the shared all-or-nothing
+file write behind the journal's damage repair and the dataset export,
+and :exc:`SimulatedCrash` is the injected process death the crash tests
+kill crawls with::
 
     from repro import CrawlJournal
 

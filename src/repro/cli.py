@@ -33,10 +33,11 @@ them after the subcommand for convenience.
 
 ``--checkpoint DIR`` makes every crawl crash-safe: completed records go
 to a write-ahead journal in DIR, and re-running the same configuration
-with ``--resume`` skips the durable apps and continues — kill the
-process anywhere and the resumed study is byte-identical to an
+with ``--resume`` re-crawls and checks the durable apps and continues —
+kill the process anywhere and the resumed study is byte-identical to an
 uninterrupted one.  Without ``--resume`` an existing checkpoint is
-refused (not silently overwritten or mixed).
+refused (not silently overwritten or mixed); so is a directory written
+in an older journal format, with a one-line error.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import argparse
 import sys
 
 from repro.config import ScaleConfig
-from repro.durable import atomic_write
+from repro.durable import JournalVersionError, atomic_write
 
 __all__ = ["main", "build_parser"]
 
@@ -78,12 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--checkpoint", metavar="DIR", default=None,
-        help="journal crawl progress to DIR (write-ahead log + atomic "
-             "snapshots) so a killed run can be resumed",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=64, metavar="N",
-        help="journal appends between snapshot compactions (default 64)",
+        help="journal crawl progress to DIR (write-ahead log) so a "
+             "killed run can be resumed",
     )
     parser.add_argument(
         "--resume", action="store_true",
@@ -131,10 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     crawl.add_argument(
         "--checkpoint", metavar="DIR", default=argparse.SUPPRESS,
         help="override the global --checkpoint",
-    )
-    crawl.add_argument(
-        "--checkpoint-every", type=int, default=argparse.SUPPRESS,
-        help="override the global --checkpoint-every",
     )
     crawl.add_argument(
         "--resume", action="store_true", default=argparse.SUPPRESS,
@@ -381,7 +374,6 @@ def _config(args: argparse.Namespace) -> ScaleConfig:
         retry_budget=args.retry_budget,
         blackouts=args.blackouts,
         checkpoint_dir=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
         resume=args.resume,
     )
 
@@ -485,15 +477,10 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     crawler = make_crawler(world)
     journal = None
     if config.checkpoint_dir:
-        journal = CrawlJournal(
-            config.checkpoint_dir,
-            snapshot_every=config.checkpoint_every,
-            resume=config.resume,
-        )
-        durable = sum(1 for a in bundle.d_sample if a in journal)
+        journal = CrawlJournal(config.checkpoint_dir, resume=config.resume)
         print(
             f"checkpoint: {config.checkpoint_dir} "
-            f"({durable}/{len(bundle.d_sample)} apps already durable)",
+            f"({len(journal)}/{len(bundle.d_sample)} apps already durable)",
             file=sys.stderr,
         )
     try:
@@ -916,6 +903,15 @@ _COMMANDS = {
 _UNOBSERVED = ("obs", "ingest", "report", "bench")
 
 
+def _run(args: argparse.Namespace) -> int:
+    """Run one command; a refused ``--checkpoint`` directory is one line."""
+    try:
+        return _COMMANDS[args.command](args)
+    except JournalVersionError as err:
+        print(f"repro: error: {err}", file=sys.stderr)
+        return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     wants_obs = bool(
@@ -926,7 +922,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     # `ingest --trace FILE` names an input artifact, not instrumentation.
     if not wants_obs or args.command in _UNOBSERVED:
-        return _COMMANDS[args.command](args)
+        return _run(args)
 
     from pathlib import Path
 
@@ -935,7 +931,7 @@ def main(argv: list[str] | None = None) -> int:
 
     observer = StoreSink()
     with observation(observer):
-        code = _COMMANDS[args.command](args)
+        code = _run(args)
     if args.trace:
         Path(args.trace).parent.mkdir(parents=True, exist_ok=True)
         path = observer.tracer.export(args.trace)

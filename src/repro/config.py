@@ -206,12 +206,10 @@ class ScaleConfig:
     #: Orthogonal to ``fault_rate``: blackouts fail *every* request in
     #: their window, per-call faults are independent coin flips.
     blackouts: int = 0
-    #: directory for the crash-safe crawl checkpoint (write-ahead journal
-    #: + atomic snapshots); ``None`` disables checkpointing entirely and
-    #: the pipeline behaves bit-identically to a journal-less run
+    #: directory for the crash-safe crawl checkpoint (write-ahead
+    #: journal); ``None`` disables checkpointing entirely and the
+    #: pipeline behaves bit-identically to a journal-less run
     checkpoint_dir: str | None = None
-    #: journal appends between snapshot compactions
-    checkpoint_every: int = 64
     #: continue an existing checkpoint instead of refusing to touch it
     resume: bool = False
 
@@ -229,10 +227,6 @@ class ScaleConfig:
         if self.blackouts < 0:
             raise ValueError(
                 f"blackouts must be >= 0, got {self.blackouts}"
-            )
-        if self.checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
             )
         if self.post_scale is None:
             # Posts outnumber apps ~800:1 in the paper; keep laptop runs

@@ -116,11 +116,7 @@ class FrappePipeline:
         config = world.config
         if not config.checkpoint_dir:
             return None
-        return CrawlJournal(
-            config.checkpoint_dir,
-            snapshot_every=config.checkpoint_every,
-            resume=config.resume,
-        )
+        return CrawlJournal(config.checkpoint_dir, resume=config.resume)
 
     def _run_on_world(
         self,

@@ -13,10 +13,10 @@ provides the retry/backoff policy, circuit breakers, and per-collection
 outcome records the crawler uses to survive them, and
 :mod:`repro.crawler.checkpoint` makes the whole crawl crash-safe: a
 write-ahead :class:`CrawlJournal` (an app is *durable* — survives any
-process kill — once its journal line is written, flushed, and fsynced),
-atomic snapshots via :func:`repro.durable.atomic_write`, and
-kill-anywhere resume with crash injection (:class:`CrashPlan` /
-:exc:`SimulatedCrash`).
+process kill — once its journal line is written, flushed, and fsynced)
+and kill-anywhere resume, which restores each crawl's start state and
+re-crawls and checks its durable prefix, with crash injection
+(:class:`CrashPlan` / :exc:`SimulatedCrash`).
 """
 
 from repro.crawler.socialbakers import SocialBakers

@@ -1,4 +1,4 @@
-"""Crash-safe crawl persistence: write-ahead journal, snapshots, resume.
+"""Crash-safe crawl persistence: write-ahead journal and resume.
 
 The paper's dataset is the product of a nine-month continuously running
 crawl — a process that inevitably died and restarted many times.  PR 1
@@ -6,11 +6,10 @@ made the crawler survive the *network* failing; this module makes it
 survive the *process* failing:
 
 * :class:`CrawlJournal` — an append-only write-ahead log in the
-  :mod:`repro.durable` line format.  Each completed
-  :class:`~repro.crawler.crawler.CrawlRecord` is one entry carrying the
-  full record *and* the transport/executor state needed to continue the
-  crawl deterministically.  Periodically the journal compacts into a
-  single checksummed snapshot file,
+  :mod:`repro.durable` line format.  Each ``crawl_many`` call writes
+  one start line carrying the crawler state it starts from, then one
+  line per completed :class:`~repro.crawler.crawler.CrawlRecord`
+  holding only the record,
 * :class:`CrashPlan` / :exc:`SimulatedCrash` — seeded crash injection
   at configurable points inside the crawl loop, including *between*
   journal write and flush (the torn-write window).
@@ -21,25 +20,32 @@ An app is **durable** once ``CrawlJournal.append`` returns: its journal
 line has been written, flushed, and ``fsync``\\ ed, so a process kill or
 OS crash after that point cannot lose it (subject to the device
 honouring fsync).  A crash *before* that point loses at most the app
-being crawled; :meth:`AppCrawler.crawl_many
-<repro.crawler.crawler.AppCrawler.crawl_many>` re-crawls it on resume
-from journaled state, making the resumed run byte-identical to an
-uninterrupted one.
+being crawled.
+
+Resume rule
+-----------
+The monitor journal's rule: a resumed call restores its durable start
+state and walks its whole sorted plan again.  An app already durable in
+the call is re-crawled and compared with its line in canonical JSON
+(:class:`~repro.durable.ReplayError` on a mismatch, nothing appended on
+a match); every other app is crawled and appended.  Restored start
+state plus the same calls gives the same records, so the replay is what
+carries the crawler across the durable prefix, and the resumed run is
+byte-identical to an uninterrupted one.
 
 Corruption policy
 -----------------
-Torn tails and interior corruption follow :mod:`repro.durable`.  On
-top of it the journal names the apps whose lines it quarantined, scrubs
-their fault bookkeeping from the restored state and re-crawls them;
-a damaged snapshot is quarantined whole and its apps re-crawled.
+Torn tails and interior corruption follow :mod:`repro.durable`.  An app
+whose line was quarantined is simply not durable: the walk re-crawls it
+in its place and appends it again.  A quarantined start line is written
+afresh from the crawler's state when its call begins.
 """
 
 from __future__ import annotations
 
-import json
-import hashlib
 import logging
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -49,11 +55,13 @@ import numpy as np
 from repro.crawler.crawler import COLLECTIONS, CrawlRecord
 from repro.crawler.resilience import CrawlOutcome
 from repro.durable import (
+    JournalVersionError,
+    ReplayError,
     atomic_write,
     canonical,
+    check_version,
     decode_line,
     encode_line,
-    next_sidecar_path,
     quarantine,
     scan,
     sweep_tmp,
@@ -106,9 +114,9 @@ CRASH_POINTS = (BEFORE_APP, AFTER_CRAWL, MID_APPEND, AFTER_APPEND)
 class CrashPlan:
     """Raise :exc:`SimulatedCrash` at one configurable crawl-loop point.
 
-    ``app_index`` counts the apps *freshly crawled by this process* (the
-    resume loop skips replayed apps), so a plan targets "the k-th app
-    this incarnation works on".  A plan fires at most once; after the
+    ``app_index`` counts the apps *freshly crawled by this process*
+    (replaying a durable app does not count), so a plan targets "the
+    k-th new app this incarnation works on".  A plan fires at most once; after the
     crash is raised, ``fired`` stays true and the plan is inert.
     """
 
@@ -235,68 +243,66 @@ def record_from_jsonable(data: dict[str, Any]) -> CrawlRecord:
     )
 
 
-_LINE_VERSION = 1
+#: the compaction file of the v1 format; its presence marks a v1 directory
+_V1_SNAPSHOT_NAME = "snapshot.json"
+#: a line's app ID: canonical JSON puts the ``app_id`` key first
+_APP_ID_PREFIX = re.compile(rb'[0-9a-f]{64}\t\{"app_id":"([^"\\]*)"')
 
 
 class CrawlJournal:
-    """Write-ahead log + snapshot making a crawl kill-anywhere resumable.
+    """Write-ahead log making a crawl kill-anywhere resumable.
 
     One directory holds everything:
 
     ``journal.jsonl``
-        One checksummed line per durable app: the full crawl record plus
-        the crawler state *after* that app (transport clock, fault-plan
-        bookkeeping, breaker states, installer RNG).
-    ``snapshot.json``
-        Periodic compaction of the journal (every ``snapshot_every``
-        appends) into one checksummed file, written atomically; the
-        journal restarts empty afterwards.
+        Format ``v`` 2 lines.  Each :meth:`AppCrawler.crawl_many
+        <repro.crawler.crawler.AppCrawler.crawl_many>` call first writes
+        one start line (the call's index in the directory and the
+        crawler state it started from), then one line per app holding
+        only the call index, the app ID and the record.
     ``meta.json``
         The configuration fingerprint the journal was written under;
         resuming with a different configuration is refused loudly.
-    ``journal.jsonl.corrupt`` / ``snapshot.json.corrupt``
-        Quarantine sidecars for checksum-mismatched entries; repeated
+    ``journal.jsonl.corrupt``
+        Quarantine sidecars for checksum-mismatched lines; repeated
         quarantines get counter-suffixed names (``….corrupt.1``, …) so
         no event overwrites another's evidence.
+
+    A directory holding lines of another version, or the ``snapshot.json``
+    of the v1 format, is refused with
+    :class:`~repro.durable.JournalVersionError` and left untouched.
 
     ``append()`` returning *is* the durability point: line written,
     flushed, fsynced.  See the module docstring for the full contract.
     """
 
     JOURNAL_NAME = "journal.jsonl"
-    SNAPSHOT_NAME = "snapshot.json"
     META_NAME = "meta.json"
+    FORMAT_VERSION = 2
 
-    def __init__(
-        self,
-        directory: str | Path,
-        snapshot_every: int = 64,
-        resume: bool = True,
-    ) -> None:
-        if snapshot_every < 1:
-            raise ValueError(
-                f"snapshot_every must be >= 1, got {snapshot_every}"
-            )
+    def __init__(self, directory: str | Path, resume: bool = True) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.snapshot_every = snapshot_every
-        #: app_id -> jsonable record, in durability order
-        self._records: dict[str, dict] = {}
-        self._state: dict | None = None
-        self._since_compact = 0
+        #: call index -> the crawler state that call started from
+        self._starts: dict[int, dict] = {}
+        #: (call index, app_id) -> jsonable record, in durability order
+        self._records: dict[tuple[int, str], dict] = {}
+        #: index of the crawl_many call in progress (-1 before the first)
+        self._call = -1
         #: apps whose journal lines were quarantined at open (best-effort
         #: identification: a corrupt line may not name its app at all)
         self.quarantined: tuple[str, ...] = ()
         #: was a torn final line truncated at open?
         self.truncated_torn_line = False
-        if not resume and self._has_data():
+        if not resume and self.journal_path.exists() \
+                and self.journal_path.stat().st_size > 0:
             raise FileExistsError(
                 f"checkpoint directory {self.directory} already holds crawl "
                 "data; pass resume=True (CLI: --resume) to continue it, or "
                 "point --checkpoint at a fresh directory"
             )
-        sweep_tmp(self.directory)
         self._load()
+        sweep_tmp(self.directory)
         self._fh = open(self.journal_path, "ab")
 
     # -- paths ------------------------------------------------------------
@@ -306,57 +312,32 @@ class CrawlJournal:
         return self.directory / self.JOURNAL_NAME
 
     @property
-    def snapshot_path(self) -> Path:
-        return self.directory / self.SNAPSHOT_NAME
-
-    @property
     def meta_path(self) -> Path:
         return self.directory / self.META_NAME
-
-    def _has_data(self) -> bool:
-        return any(
-            p.exists() and p.stat().st_size > 0
-            for p in (self.journal_path, self.snapshot_path)
-        )
 
     # -- loading -----------------------------------------------------------
 
     def _load(self) -> None:
-        self._load_snapshot()
-        self._load_journal()
-
-    def _load_snapshot(self) -> None:
-        path = self.snapshot_path
-        if not path.exists():
-            return
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            payload = doc["payload"]
-            if hashlib.sha256(canonical(payload)).hexdigest() != doc["sha256"]:
-                raise ValueError("snapshot checksum mismatch")
-            records = {e["app_id"]: e for e in payload["records"]}
-            state = payload["state"]
-        except (KeyError, TypeError, ValueError, UnicodeDecodeError) as err:
-            corrupt = next_sidecar_path(path)
-            os.replace(path, corrupt)
-            logger.warning(
-                "quarantined corrupt snapshot %s -> %s (%s); its apps will "
-                "be re-crawled", path, corrupt, err,
+        if (self.directory / _V1_SNAPSHOT_NAME).exists():
+            raise JournalVersionError(
+                f"crawl checkpoint at {self.directory} holds a v1 "
+                f"{_V1_SNAPSHOT_NAME}; this build reads only "
+                f"v{self.FORMAT_VERSION}. Start a fresh history: point "
+                "--checkpoint at a new directory."
             )
-            return
-        self._records.update(records)
-        self._state = state
-
-    def _load_journal(self) -> None:
         path = self.journal_path
         if not path.exists():
             return
-        good, bad, torn = scan(path.read_bytes(), self.decode)
-        for _, payload in good:
-            self._records[payload["app_id"]] = payload["record"]
-        if good:
-            self._state = good[-1][1]["state"]
-        self._since_compact = len(good)
+        decoded, bad, torn = scan(path.read_bytes(), decode_line)
+        good: list[tuple[bytes, dict]] = []
+        for piece, payload in decoded:
+            check_version(
+                payload, self.FORMAT_VERSION, "crawl checkpoint", self.directory
+            )
+            if self._admit(payload):
+                good.append((piece, payload))
+            else:
+                bad.append(piece)
         if bad:
             self._quarantine_lines(bad)
         if bad or torn:
@@ -365,36 +346,34 @@ class CrawlJournal:
             atomic_write(path, b"".join(piece + b"\n" for piece, _ in good))
             self.truncated_torn_line = torn
 
-    @staticmethod
-    def decode(line: bytes) -> dict | None:
-        """One journal entry; ``None`` if damaged or not naming an app."""
-        payload = decode_line(line)
-        return payload if payload is not None and "app_id" in payload else None
+    def _admit(self, payload: dict) -> bool:
+        """Index one decoded line; ``False`` if its schema is malformed."""
+        call = payload.get("call")
+        if not isinstance(call, int) or call < 0:
+            return False
+        if "app_id" in payload:
+            app_id, record = payload["app_id"], payload.get("record")
+            if not isinstance(app_id, str) or not isinstance(record, dict):
+                return False
+            self._records[(call, app_id)] = record
+        elif isinstance(payload.get("state"), dict):
+            self._starts[call] = payload["state"]
+        else:
+            return False
+        return True
 
     def _quarantine_lines(self, lines: list[bytes]) -> None:
         corrupt_path = quarantine(self.journal_path, lines)
+        # Best-effort: name the app if the canonical body still starts
+        # with its app ID (a start line, or damage there, names none).
         claimed = []
         for line in lines:
-            try:  # best-effort: name the app if the payload still parses
-                _, body = line.split(b"\t", 1)
-                claimed.append(str(json.loads(body)["app_id"]))
-            except Exception:  # noqa: BLE001 - corrupt by definition
-                claimed.append("<unidentifiable>")
+            named = _APP_ID_PREFIX.match(line)
+            claimed.append(
+                named.group(1).decode("utf-8", "replace") if named
+                else "<unidentifiable>"
+            )
         self.quarantined = tuple(claimed)
-        # The final journaled state may still carry the quarantined apps'
-        # per-app fault bookkeeping; drop it so their re-crawl starts from
-        # call index 0, like any fresh crawl.
-        known = {c for c in claimed if c != "<unidentifiable>"}
-        if known and self._state is not None:
-            transport = self._state.get("transport", {})
-            transport["call_index"] = [
-                entry
-                for entry in transport.get("call_index", [])
-                if entry[1] not in known
-            ]
-            transport["vanished"] = [
-                a for a in transport.get("vanished", []) if a not in known
-            ]
         logger.warning(
             "quarantined %d corrupt journal line(s) in %s to sidecar "
             "%s (apps: %s); they will be re-crawled",
@@ -404,64 +383,85 @@ class CrawlJournal:
     # -- replay API --------------------------------------------------------
 
     def __len__(self) -> int:
+        """Durable app lines, over every call."""
         return len(self._records)
 
     def __contains__(self, app_id: str) -> bool:
-        return app_id in self._records
+        """Is *app_id* durable in any call?"""
+        return any(durable == app_id for _, durable in self._records)
 
-    @property
-    def records(self) -> dict[str, CrawlRecord]:
-        """Durable records, decoded fresh (callers may mutate them)."""
-        return {
-            app_id: record_from_jsonable(data)
-            for app_id, data in self._records.items()
-        }
+    def begin(self, state: dict) -> dict | None:
+        """Open the next ``crawl_many`` call; its durable start state, if any.
 
-    @property
-    def state(self) -> dict | None:
-        """The crawler state after the last durable app (``None`` if empty)."""
-        return self._state
+        A call whose start line is not durable (a fresh call, or one
+        whose start line was quarantined) makes a start line carrying
+        *state*, the crawler's current state, durable and returns
+        ``None``: there is nothing to restore.
+        """
+        self._call += 1
+        start = self._starts.get(self._call)
+        if start is None:
+            self._write({"v": self.FORMAT_VERSION, "call": self._call,
+                         "state": state})
+        return start
+
+    def durable(self, app_id: str) -> dict | None:
+        """The open call's durable line for *app_id* (its record), if any."""
+        return self._records.get((self._call, app_id))
+
+    def check(self, record: CrawlRecord, durable: dict) -> None:
+        """Raise :class:`ReplayError` unless *record* re-derives *durable*."""
+        if canonical(record_to_jsonable(record)) != canonical(durable):
+            raise ReplayError(
+                f"call {self._call} app {record.app_id}: the re-crawled "
+                f"record differs from its durable line in "
+                f"{self.journal_path}; that checkpoint does not replay "
+                "under this world and configuration"
+            )
 
     # -- writing -----------------------------------------------------------
 
-    def append(
-        self, record: CrawlRecord, state: dict, tear: bool = False
-    ) -> None:
-        """Make *record* durable; the crawler state rides along.
-
-        When this returns, the line is on disk (written + flushed +
-        fsynced) — the app counts as done across any crash.  ``tear``
-        simulates a crash in the write/flush window: a prefix of the
-        line is written and :exc:`SimulatedCrash` raised, producing
-        exactly the torn-final-line artifact resume must absorb.
-        """
+    def _write(self, payload: dict, tear: bool = False) -> bytes:
         if self._fh is None:
             raise RuntimeError("journal is closed")
-        payload = {
-            "v": _LINE_VERSION,
-            "app_id": record.app_id,
-            "record": record_to_jsonable(record),
-            "state": state,
-        }
         line = encode_line(payload)
         if tear:
             self._fh.write(line[: max(1, 2 * len(line) // 3)])
             self._fh.flush()
             raise SimulatedCrash(
-                f"injected crash mid-append of {record.app_id} "
+                f"injected crash mid-append of {payload.get('app_id')} "
                 "(torn journal line)"
             )
         self._fh.write(line)
         self._fh.flush()
         os.fsync(self._fh.fileno())
-        self._records[record.app_id] = payload["record"]
-        self._state = state
-        self._since_compact += 1
+        return line
+
+    def append(
+        self, record: CrawlRecord, now_s: float, tear: bool = False
+    ) -> None:
+        """Make *record* durable in the open call.
+
+        When this returns, the line is on disk (written + flushed +
+        fsynced) — the app counts as done across any crash.  *now_s* is
+        the crawler's simulated clock, the trace event's timestamp.
+        ``tear`` simulates a crash in the write/flush window: a prefix
+        of the line is written and :exc:`SimulatedCrash` raised,
+        producing exactly the torn-final-line artifact resume must
+        absorb.
+        """
+        data = record_to_jsonable(record)
+        line = self._write(
+            {"v": self.FORMAT_VERSION, "call": self._call,
+             "app_id": record.app_id, "record": data},
+            tear=tear,
+        )
+        self._records[(self._call, record.app_id)] = data
         obs = get_observer()
         if obs.enabled:
             obs.event(
                 "journal.append",
-                t=self._journal_clock(state),
+                t=now_s,
                 category="checkpoint",
                 app_id=record.app_id,
                 line_bytes=len(line),
@@ -472,54 +472,6 @@ class CrawlJournal:
                 float(len(line)),
                 edges=(1024.0, 4096.0, 16384.0, 65536.0, 262144.0),
             )
-        if self._since_compact >= self.snapshot_every:
-            self.compact()
-
-    def compact(self) -> None:
-        """Fold journal + previous snapshot into one atomic snapshot file.
-
-        Crash-safe at every step: the snapshot is written via
-        :func:`atomic_write` first, and only then is the journal
-        truncated.  A crash between the two leaves duplicate entries,
-        which the loader resolves (journal lines win, identically).
-        """
-        if self._state is None:
-            return
-        payload = {
-            "format_version": 1,
-            "records": list(self._records.values()),
-            "state": self._state,
-            "count": len(self._records),
-        }
-        doc = {
-            "sha256": hashlib.sha256(canonical(payload)).hexdigest(),
-            "payload": payload,
-        }
-        atomic_write(self.snapshot_path, json.dumps(doc))
-        if self._fh is not None:
-            self._fh.close()
-        self._fh = open(self.journal_path, "wb")  # truncate: snapshot owns it
-        self._since_compact = 0
-        obs = get_observer()
-        if obs.enabled:
-            obs.event(
-                "journal.compact",
-                t=self._journal_clock(self._state),
-                category="checkpoint",
-                records=len(self._records),
-            )
-            obs.count("journal_compactions_total")
-
-    @staticmethod
-    def _journal_clock(state: dict | None) -> float:
-        """The global simulated clock carried by a journaled crawler state.
-
-        The journal has no clock of its own; timestamps for its trace
-        events come from the transport accounting in the state that
-        rides along with every append.
-        """
-        stats = (state or {}).get("transport", {}).get("stats", {})
-        return float(stats.get("service_s", 0.0)) + float(stats.get("wait_s", 0.0))
 
     def close(self) -> None:
         if self._fh is not None:

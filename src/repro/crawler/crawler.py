@@ -274,47 +274,45 @@ class AppCrawler:
     ) -> dict[str, CrawlRecord]:
         """Crawl *app_ids* in sorted order, optionally crash-safely.
 
-        With a :class:`~repro.crawler.checkpoint.CrawlJournal`, every
-        completed record is made durable (written, flushed, fsynced)
-        before the next app starts, and apps already durable in the
-        journal are *replayed* instead of re-crawled: the crawler state
-        (transport clock, fault bookkeeping, breakers, installer RNG)
-        is restored from the journal first, so interrupting anywhere and
-        resuming yields records byte-identical to an uninterrupted run.
+        With a :class:`~repro.crawler.checkpoint.CrawlJournal`, the call
+        starts from its durable start state (or makes the current state
+        its start line), and every completed record is made durable
+        (written, flushed, fsynced) before the next app starts.  An app
+        already durable in this call is crawled again and checked
+        against its line instead of appended, so interrupting anywhere
+        and resuming yields records byte-identical to an uninterrupted
+        run.
 
         *crash_plan* injects a :class:`SimulatedCrash` at a configured
-        point of the loop (crash-injection tests); ``None`` means never.
+        point of a freshly crawled app (crash-injection tests); ``None``
+        means never.
         """
         records: dict[str, CrawlRecord] = {}
-        pending: list[str] = []
-        if journal is None:
-            pending = sorted(app_ids)
-        else:
+        if journal is not None:
             check_fingerprint(
                 journal.meta_path, self.checkpoint_fingerprint(), "checkpoint"
             )
-            replayed = journal.records
-            for app_id in sorted(app_ids):
-                if app_id in replayed:
-                    records[app_id] = replayed[app_id]
-                else:
-                    pending.append(app_id)
-            if journal.state is not None:
-                self.restore_state(journal.state)
-        for app_id in pending:
-            if crash_plan is not None:
+            start = journal.begin(self.snapshot_state())
+            if start is not None:
+                self.restore_state(start)
+        for app_id in sorted(app_ids):
+            durable = journal.durable(app_id) if journal is not None else None
+            if durable is None and crash_plan is not None:
                 crash_plan.advance()
                 crash_plan.check("before_app")
             record = self.crawl_app(app_id)
-            if crash_plan is not None:
-                crash_plan.check("after_crawl")
-            if journal is not None:
-                tear = crash_plan is not None and crash_plan.due("mid_append")
-                if tear:
-                    crash_plan.fired = True
-                journal.append(record, self.snapshot_state(), tear=tear)
+            if durable is not None:
+                journal.check(record, durable)
+            else:
                 if crash_plan is not None:
-                    crash_plan.check("after_append")
+                    crash_plan.check("after_crawl")
+                if journal is not None:
+                    tear = crash_plan is not None and crash_plan.due("mid_append")
+                    if tear:
+                        crash_plan.fired = True
+                    journal.append(record, self.stats.elapsed_s, tear=tear)
+                    if crash_plan is not None:
+                        crash_plan.check("after_append")
             records[app_id] = record
         return records
 

@@ -55,18 +55,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.crawler.checkpoint import (
-    CrawlJournal,
-    record_from_jsonable,
-    record_to_jsonable,
-)
+from repro.crawler.checkpoint import record_from_jsonable, record_to_jsonable
 from repro.crawler.crawler import AppCrawler, CrawlRecord
 from repro.crawler.recrawl import RecrawlScheduler
 from repro.crawler.resilience import PERMANENT
 from repro.durable import (
+    ReplayError,
     atomic_write,
     canonical,
     check_fingerprint,
+    check_version,
+    decode_line,
     encode_line,
     quarantine,
     scan,
@@ -85,8 +84,6 @@ __all__ = [
     "FORENSIC_EVENT_KINDS",
     "MonitorConfig",
     "MonitorJournal",
-    "MonitorJournalVersionError",
-    "MonitorReplayError",
     "MonitorReport",
     "AppMonitor",
     "SupervisedEpochRunner",
@@ -159,14 +156,6 @@ class MonitorReport:
     quarantined: int = 0
 
 
-class MonitorJournalVersionError(ValueError):
-    """A monitor history written in another line format: not resumable."""
-
-
-class MonitorReplayError(RuntimeError):
-    """A re-derived observation differs from its durable journal line."""
-
-
 class MonitorJournal:
     """The monitor's WAL: observations + epoch plans, one line each.
 
@@ -184,7 +173,7 @@ class MonitorJournal:
     planned observation carry ``state`` (crawler, scheduler, and the
     epoch cursor — the epoch for the plan line, the next one for the
     last observation).  A journal holding any other version is refused
-    with :class:`MonitorJournalVersionError`.
+    with :class:`~repro.durable.JournalVersionError`.
     """
 
     JOURNAL_NAME = "monitor.jsonl"
@@ -192,8 +181,12 @@ class MonitorJournal:
     FORMAT_VERSION = 2
     #: app_id of a journaled epoch dispatch plan
     PLAN_SENTINEL = "__plan__"
-    #: one line's entry, or ``None`` if damaged
-    decode = staticmethod(CrawlJournal.decode)
+
+    @staticmethod
+    def decode(line: bytes) -> dict | None:
+        """One journal entry; ``None`` if damaged or not naming an app."""
+        payload = decode_line(line)
+        return payload if payload is not None and "app_id" in payload else None
 
     def __init__(self, directory: str | Path, resume: bool = True) -> None:
         self.directory = Path(directory)
@@ -239,13 +232,9 @@ class MonitorJournal:
         decoded, bad, torn = scan(path.read_bytes(), self.decode)
         good: list[tuple[bytes, dict]] = []
         for piece, payload in decoded:
-            if payload.get("v") != self.FORMAT_VERSION:
-                raise MonitorJournalVersionError(
-                    f"monitor history at {self.directory} holds format "
-                    f"v{payload.get('v')} lines; this build reads only "
-                    f"v{self.FORMAT_VERSION}. Start a fresh history: point "
-                    "--checkpoint at a new directory."
-                )
+            check_version(
+                payload, self.FORMAT_VERSION, "monitor history", self.directory
+            )
             problem = self._admit(payload)
             if problem is None:
                 good.append((piece, payload))
@@ -721,7 +710,7 @@ class AppMonitor:
         from the restored state, in the journaled order when a plan is
         durable (pinning resume order under exploration policies).  An
         app already durable at this epoch is crawled again and checked
-        against its line (:class:`MonitorReplayError` if it differs)
+        against its line (:class:`~repro.durable.ReplayError` if it differs)
         instead of appended, tallied or heartbeated — restored state
         plus the same calls gives the same records, so the replay is
         what carries crawler and scheduler across the durable prefix.
@@ -788,7 +777,7 @@ class AppMonitor:
                         epoch, record, assessment, events, state
                     )
                     if canonical(replayed) != canonical(durable):
-                        raise MonitorReplayError(
+                        raise ReplayError(
                             f"epoch {epoch} app {app_id}: the re-derived "
                             "observation differs from its durable line in "
                             f"{journal.directory}; that history does not "
@@ -894,14 +883,19 @@ def _epoch_worker(
 ) -> None:
     """Forked worker: run one epoch against the shared journal.
 
-    The journal is the only channel back to the parent — the worker
-    reopens it for itself (a forked file handle must not be shared),
-    runs the epoch, and heartbeats after every durable observation.
-    Chaos (first incarnation only) kills or hangs the worker after the
-    target observation, exercising the restart ladder.
+    The journal is the only channel back to the parent.  The worker
+    starts from the parent's state (the parent resyncs from the journal
+    after every worker exit) and appends through the journal handle it
+    inherits.  That forked handle is safe to share: the parent flushes
+    each append before returning, so the fork copies no pending bytes;
+    the parent writes nothing while a worker lives; and the handle is
+    in append mode, so each worker write lands at the file's end.  A
+    resync that rewrites the file to absorb a torn line reopens the
+    handle before the next fork.  The worker heartbeats after every
+    durable observation.  Chaos (first incarnation only) kills or hangs
+    the worker after the target observation, exercising the restart
+    ladder.
     """
-    monitor.resync_from_journal()
-
     def heartbeat(app_id: str, fresh: int) -> None:
         conn.send({
             "type": "heartbeat",
@@ -996,11 +990,13 @@ class SupervisedEpochRunner:
                 self.restarts += 1
                 if obs.enabled:
                     obs.count("monitor_supervisor_restarts_total")
-            if self._run_worker(epoch, incarnation):
-                # Fold the worker's durable progress into this process.
+            done = self._run_worker(epoch, incarnation)
+            # Fold the worker's durable progress into this process, the
+            # state the next worker (or the inline rung) forks from.
+            self._monitor.resync_from_journal()
+            if done:
                 # The journaled cursor points at the epoch the worker
                 # was running; it finished, so advance past it.
-                self._monitor.resync_from_journal()
                 self._monitor._next_epoch = max(
                     self._monitor._next_epoch, epoch + 1
                 )
@@ -1015,7 +1011,6 @@ class SupervisedEpochRunner:
             "epoch %d worker restart budget exhausted; finishing inline",
             epoch,
         )
-        self._monitor.resync_from_journal()
         self._monitor.run_epoch(epoch)
 
     def _run_worker(self, epoch: int, incarnation: int) -> bool:

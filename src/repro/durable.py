@@ -24,6 +24,9 @@ from pathlib import Path
 from typing import Any, Callable
 
 __all__ = [
+    "JournalVersionError",
+    "ReplayError",
+    "check_version",
     "atomic_write",
     "next_sidecar_path",
     "canonical",
@@ -36,6 +39,29 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+
+class JournalVersionError(ValueError):
+    """A journal written in another line format: refused, not migrated."""
+
+
+class ReplayError(RuntimeError):
+    """A re-derived entry differs from its durable journal line."""
+
+
+def check_version(payload: dict, version: int, what: str, directory) -> None:
+    """Refuse *payload* unless it is a format-*version* line.
+
+    Both journals check every line before they rewrite anything, so a
+    refused directory is left exactly as it was.
+    """
+    found = payload.get("v")
+    if found != version:
+        raise JournalVersionError(
+            f"{what} at {directory} holds format v{found} lines; this "
+            f"build reads only v{version}. Start a fresh history: point "
+            "--checkpoint at a new directory."
+        )
 
 
 def atomic_write(path: str | Path, data: str | bytes) -> Path:

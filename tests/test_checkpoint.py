@@ -1,11 +1,11 @@
 """Unit tests for the crash-safe checkpoint layer.
 
 Covers the pieces in isolation: atomic writes, the journal's append /
-load round-trip, the corruption policy (torn final line silently
-truncated, checksum-mismatched interior line quarantined and re-crawled),
-snapshot compaction, the configuration fingerprint, and CrashPlan
-mechanics.  The kill-anywhere resume invariant lives in
-``test_checkpoint_crash.py``.
+load round-trip and line format, the corruption policy (torn final line
+silently truncated, checksum-mismatched interior line quarantined and
+re-crawled), the refusal of older formats, the configuration
+fingerprint, and CrashPlan mechanics.  The kill-anywhere resume
+invariant lives in ``test_checkpoint_crash.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,15 @@ from repro.crawler.checkpoint import (
 )
 from repro.crawler.crawler import make_crawler
 from repro.crawler.datasets import DatasetBuilder
-from repro.durable import atomic_write, next_sidecar_path
+from repro.cli import main
+from repro.durable import (
+    JournalVersionError,
+    ReplayError,
+    atomic_write,
+    decode_line,
+    encode_line,
+    next_sidecar_path,
+)
 from repro.ecosystem.simulation import run_simulation
 from repro.mypagekeeper.classifier import UrlClassifier
 from repro.mypagekeeper.monitor import MyPageKeeper
@@ -94,7 +102,7 @@ def test_atomic_write_creates_and_replaces(tmp_path):
 
 
 def test_journal_sweeps_stale_tmp_files(tmp_path):
-    (tmp_path / "snapshot.json.abc123.tmp").write_bytes(b"half-written")
+    (tmp_path / "journal.jsonl.abc123.tmp").write_bytes(b"half-written")
     with CrawlJournal(tmp_path):
         pass
     assert list(tmp_path.glob("*.tmp")) == []
@@ -122,10 +130,54 @@ def test_journal_roundtrip(tmp_path, pristine_world, sample):
         records = _crawl(pristine_world, apps, journal=journal)
         assert len(journal) == len(apps)
         assert all(a in journal for a in apps)
+    raw = (tmp_path / "journal.jsonl").read_bytes()
     reopened = CrawlJournal(tmp_path)
-    assert _canon(reopened.records) == _canon(records)
-    assert reopened.state is not None
+    assert len(reopened) == len(apps)
+    # a fully durable call replays every app and appends nothing
+    assert _canon(_crawl(pristine_world, apps, journal=reopened)) == _canon(
+        records
+    )
     reopened.close()
+    assert (tmp_path / "journal.jsonl").read_bytes() == raw
+
+
+def _payloads(path) -> list[dict]:
+    return [decode_line(piece) for piece in path.read_bytes().splitlines()]
+
+
+def test_only_start_lines_carry_state(tmp_path, pristine_world, sample):
+    """One start line per crawl_many call; app lines hold only the record."""
+    crawler = make_crawler(pristine_world)
+    with CrawlJournal(tmp_path) as journal:
+        crawler.crawl_many(sample[:3], journal=journal)
+        crawler.crawl_many(sample[3:5], journal=journal)
+    payloads = _payloads(tmp_path / "journal.jsonl")
+    starts = [p for p in payloads if "state" in p]
+    assert [(p["call"], sorted(p)) for p in starts] == [
+        (0, ["call", "state", "v"]), (1, ["call", "state", "v"]),
+    ]
+    assert payloads[0] is starts[0] and payloads[4] is starts[1]
+    others = [p for p in payloads if "state" not in p]
+    assert [p["app_id"] for p in others] == sample[:5]
+    assert {tuple(sorted(p)) for p in others} == {
+        ("app_id", "call", "record", "v")
+    }
+    assert {p["v"] for p in payloads} == {CrawlJournal.FORMAT_VERSION}
+
+
+def test_a_tampered_durable_record_raises_on_replay(
+    tmp_path, pristine_world, sample
+):
+    apps = sample[:4]
+    with CrawlJournal(tmp_path) as journal:
+        _crawl(pristine_world, apps, journal=journal)
+    path = tmp_path / "journal.jsonl"
+    payloads = _payloads(path)
+    payloads[2]["record"]["mau_observations"] = [1, 2, 3]
+    path.write_bytes(b"".join(encode_line(p) for p in payloads))
+    with CrawlJournal(tmp_path) as reopened:
+        with pytest.raises(ReplayError, match=payloads[2]["app_id"]):
+            _crawl(pristine_world, apps, journal=reopened)
 
 
 def test_journal_refuses_existing_without_resume(tmp_path, pristine_world, sample):
@@ -172,7 +224,7 @@ def test_interior_corruption_quarantined(
 ):
     apps = sample[:5]
     with CrawlJournal(tmp_path) as journal:
-        _crawl(pristine_world, apps, journal=journal)
+        control = _crawl(pristine_world, apps, journal=journal)
     path = tmp_path / "journal.jsonl"
     lines = path.read_bytes().splitlines(keepends=True)
     victim = json.loads(lines[2].split(b"\t", 1)[1])["app_id"]
@@ -190,9 +242,10 @@ def test_interior_corruption_quarantined(
     sidecar = tmp_path / "journal.jsonl.corrupt"
     assert sidecar.exists() and sidecar.stat().st_size > 0
     assert any("quarantined" in r.message for r in caplog.records)
-    # resuming re-crawls the quarantined app instead of crashing
+    # resuming re-crawls the quarantined app in its place: the records
+    # are the uninterrupted crawl's
     resumed = _crawl(pristine_world, apps, journal=reopened)
-    assert sorted(resumed) == apps
+    assert _canon(resumed) == _canon(control)
     reopened.close()
 
 
@@ -253,39 +306,56 @@ def test_repeated_quarantine_never_overwrites_a_sidecar(
     again.close()
 
 
-def test_corrupt_snapshot_quarantined(tmp_path, pristine_world, sample, caplog):
-    apps = sample[:4]
-    with CrawlJournal(tmp_path, snapshot_every=2) as journal:
-        _crawl(pristine_world, apps, journal=journal)
+# -- older formats ------------------------------------------------------------
+
+
+def _v1_line(app_id: str) -> bytes:
+    return encode_line({
+        "v": 1, "app_id": app_id, "record": {"app_id": app_id},
+        "state": {"transport": {}, "breakers": {}},
+    })
+
+
+def test_v1_lines_refused_untouched(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    path.write_bytes(_v1_line("a") + _v1_line("b") + b"torn")
+    before = path.read_bytes()
+    with pytest.raises(JournalVersionError, match="fresh history") as excinfo:
+        CrawlJournal(tmp_path)
+    assert str(tmp_path) in str(excinfo.value)
+    assert path.read_bytes() == before  # refused, not rewritten
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["journal.jsonl"]
+
+
+def test_leftover_snapshot_refused_untouched(tmp_path):
     snapshot = tmp_path / "snapshot.json"
-    assert snapshot.exists()
-    snapshot.write_text(snapshot.read_text()[:-20])  # truncate mid-document
-
-    with caplog.at_level(logging.WARNING, logger="repro.crawler.checkpoint"):
-        reopened = CrawlJournal(tmp_path)
-    assert (tmp_path / "snapshot.json.corrupt").exists()
-    assert not snapshot.exists()
-    # the snapshot's apps fall back to not-durable and get re-crawled
-    resumed = _crawl(pristine_world, apps, journal=reopened)
-    assert sorted(resumed) == apps
-    reopened.close()
+    snapshot.write_text('{"payload": {}, "sha256": "0"}')
+    (tmp_path / "journal.jsonl").write_bytes(_v1_line("a"))
+    with pytest.raises(JournalVersionError, match="snapshot.json"):
+        CrawlJournal(tmp_path)
+    assert snapshot.read_text() == '{"payload": {}, "sha256": "0"}'
+    assert (tmp_path / "journal.jsonl").read_bytes() == _v1_line("a")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "journal.jsonl", "snapshot.json",
+    ]
 
 
-# -- compaction -------------------------------------------------------------
-
-
-def test_compaction_preserves_resume(tmp_path, pristine_world, sample):
-    apps = sample[:7]
-    plain = _crawl(pristine_world, apps)
-    with CrawlJournal(tmp_path, snapshot_every=3) as journal:
-        journaled = _crawl(pristine_world, apps, journal=journal)
-    assert (tmp_path / "snapshot.json").exists()
-    # the journal holds only the appends since the last compaction
-    journal_lines = (tmp_path / "journal.jsonl").read_bytes().count(b"\n")
-    assert journal_lines == len(apps) % 3
-    reopened = CrawlJournal(tmp_path, snapshot_every=3)
-    assert _canon(reopened.records) == _canon(journaled) == _canon(plain)
-    reopened.close()
+@pytest.mark.parametrize("command", ["crawl", "monitor"])
+def test_cli_refuses_an_old_checkpoint_in_one_line(tmp_path, capsys, command):
+    directory = tmp_path / "ck"
+    directory.mkdir()
+    name = "journal.jsonl" if command == "crawl" else "monitor.jsonl"
+    (directory / name).write_bytes(_v1_line("a"))
+    code = main([
+        "--scale", str(TEST_SCALE), "--seed", str(TEST_SEED),
+        "--checkpoint", str(directory), "--resume", command,
+    ])
+    assert code != 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("repro: error: ")] == [
+        err[-1]
+    ]
+    assert str(directory) in err[-1] and "v1" in err[-1]
 
 
 # -- configuration fingerprint ----------------------------------------------

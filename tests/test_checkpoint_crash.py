@@ -318,8 +318,9 @@ def test_enospc_mid_append_resumes_byte_identical(
     expected_stats = reference.stats.snapshot()
 
     journal = CrawlJournal(chaos_dir)
-    # Disk fills while appending the third app's journal line.
-    journal._fh = _DiskFullHandle(journal._fh, fail_at_write=3)
+    # Disk fills while appending the third app's journal line (the
+    # first write is the call's start line).
+    journal._fh = _DiskFullHandle(journal._fh, fail_at_write=4)
     with pytest.raises(OSError) as excinfo:
         make_crawler(pristine_world).crawl_many(apps, journal=journal)
     assert excinfo.value.errno == errno.ENOSPC

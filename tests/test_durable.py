@@ -126,10 +126,17 @@ def _entry(app_id: str) -> dict:
     }
 
 
-def _checksummed(name: str):
-    good = encode_line(_entry("a"))
-    bad = encode_line(_entry("b")).replace(b"summary_ok", b"summary_OK")
-    return name, good, bad, encode_line(_entry("c"))[:40]
+def _crawl_entry(app_id: str) -> dict:
+    return {
+        "v": 2, "call": 0, "app_id": app_id,
+        "record": {"app_id": app_id, "summary_ok": True},
+    }
+
+
+def _checksummed(name: str, entry=_entry):
+    good = encode_line(entry("a"))
+    bad = encode_line(entry("b")).replace(b"summary_ok", b"summary_OK")
+    return name, good, bad, encode_line(entry("c"))[:40]
 
 
 def _plain(name: str):
@@ -162,7 +169,8 @@ def _ingest_monitor_history(directory: Path, store):
 @pytest.mark.parametrize(
     ("reader", "lines", "rewrites"),
     [
-        (_open_crawl_journal, _checksummed(CrawlJournal.JOURNAL_NAME), True),
+        (_open_crawl_journal,
+         _checksummed(CrawlJournal.JOURNAL_NAME, _crawl_entry), True),
         (_open_monitor_journal, _checksummed(MonitorJournal.JOURNAL_NAME),
          True),
         (_ingest_trace, _plain("trace.jsonl"), False),

@@ -38,7 +38,6 @@ from repro.crawler.monitor import (
     FORENSIC_EVENT_KINDS,
     MonitorConfig,
     MonitorJournal,
-    MonitorJournalVersionError,
     SupervisedEpochRunner,
 )
 from repro.crawler.recrawl import (
@@ -48,7 +47,7 @@ from repro.crawler.recrawl import (
     TieredPolicy,
     TierLadder,
 )
-from repro.durable import encode_line
+from repro.durable import JournalVersionError, encode_line
 from repro.ecosystem.app_lifecycle import LifecycleScript
 from repro.ecosystem.simulation import run_simulation
 from repro.mypagekeeper.classifier import UrlClassifier
@@ -472,7 +471,7 @@ class TestJournalQuarantine:
             [self.payload(0, "a", v=1, state={"epoch": 0})],
         )
         before = path.read_bytes()
-        with pytest.raises(MonitorJournalVersionError) as excinfo:
+        with pytest.raises(JournalVersionError) as excinfo:
             MonitorJournal(directory)
         message = str(excinfo.value)
         assert str(directory) in message

@@ -1,18 +1,24 @@
-"""Crash-point fuzzer for the monitor journal.
+"""Crash-point fuzzer for both journals: the monitor's and the crawl's.
 
-A control run writes a 3-epoch history at fault_rate=0.2 with two
-blackout windows and forensics + lifecycle on (the
-``TestKillAnywhereResume`` campaign).  Each case damages that journal
-at one byte — truncating the file there, as a crash mid-append does,
-or flipping the byte, as a bad disk does — and resumes the campaign
-in a fresh world from nothing but the damaged directory.  Whatever
-was lost is re-crawled: the resumed history holds the control's
-entries (keyed by ``(epoch, app_id)``, crawler state aside), and the
-exported dataset and the schedule are byte-identical.
+A monitor control run writes a 3-epoch history at fault_rate=0.2 with
+two blackout windows and forensics + lifecycle on (the
+``TestKillAnywhereResume`` campaign); a crawl control run crawls the
+same world's D-Sample in two ``crawl_many`` calls on one crawler, as
+the pipeline's D-Sample crawl and sweep do.  Each case damages a
+control journal at one byte — truncating the file there, as a crash
+mid-append does, or flipping the byte, as a bad disk does — and
+resumes the run in a fresh world from nothing but the damaged
+directory.  Whatever was lost is re-crawled.  The resumed monitor
+history holds the control's entries (keyed by ``(epoch, app_id)``,
+crawler state aside), and the exported dataset and the schedule are
+byte-identical; the resumed crawl returns the control's records and
+leaves the control's journal lines, keyed by call and app.
 
 The structured cases pin the damage that needs the replay of a
-durable prefix: a hole inside an early epoch (the re-crawl lands after
-later epochs' lines), and a lost end-of-run state line.
+durable prefix: a hole inside an early epoch or call (the re-crawl
+lands after later lines), a lost end-of-run state line, and a lost
+crawl start line.  A checksum-valid line that the replay contradicts
+raises :class:`~repro.durable.ReplayError` in both journals.
 """
 
 from __future__ import annotations
@@ -26,19 +32,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crawler.checkpoint import CrawlJournal, record_to_jsonable
 from repro.crawler.crawler import make_crawler
-from repro.crawler.monitor import (
-    AppMonitor,
-    MonitorConfig,
-    MonitorJournal,
-    MonitorReplayError,
-)
-from repro.durable import encode_line
+from repro.crawler.monitor import AppMonitor, MonitorConfig, MonitorJournal
+from repro.durable import ReplayError, canonical, decode_line, encode_line
 
 from tests.test_monitor import app_ids, build_world  # noqa: F401 - fixture
 
 OVERRIDES = {"fault_rate": 0.2, "blackouts": 2}
 CONFIG = MonitorConfig(epochs=3, stride_days=7, forensics=True, lifecycle=True)
+#: crawl_many calls of the crawl control (apps dealt round-robin)
+CRAWL_CALLS = 2
 
 
 def fresh(app_ids, directory: Path) -> AppMonitor:
@@ -59,6 +63,28 @@ def keyed(entries: list[dict]) -> dict:
     }
 
 
+def crawl(app_ids, directory: Path) -> bytes:
+    """The crawl control's calls in a fresh world; canonical records."""
+    world = build_world(**OVERRIDES)
+    crawler = make_crawler(world)
+    records = {}
+    with CrawlJournal(directory) as journal:
+        for call in range(CRAWL_CALLS):
+            records.update(crawler.crawl_many(
+                app_ids[call::CRAWL_CALLS], journal=journal
+            ))
+    return canonical({
+        app_id: record_to_jsonable(records[app_id]) for app_id in records
+    })
+
+
+def crawl_lines(directory: Path) -> dict:
+    """A crawl journal's lines keyed by ``(call, app_id)`` (None: start)."""
+    raw = (directory / CrawlJournal.JOURNAL_NAME).read_bytes()
+    payloads = [decode_line(piece) for piece in raw.splitlines()]
+    return {(p["call"], p.get("app_id")): p for p in payloads}
+
+
 @pytest.fixture(scope="module")
 def control(app_ids, tmp_path_factory):
     directory = tmp_path_factory.mktemp("monitor-fuzz")
@@ -67,11 +93,27 @@ def control(app_ids, tmp_path_factory):
     monitor.journal.close()
     raw = (directory / "control" / MonitorJournal.JOURNAL_NAME).read_bytes()
     return {
+        "journal": MonitorJournal.JOURNAL_NAME,
         "raw": raw,
         "lines": raw.splitlines(keepends=True),
         "entries": keyed(monitor.journal.entries),
         "dataset": monitor.export_dataset_bytes(),
         "schedule": monitor.scheduler.snapshot(),
+        "workdir": directory,
+    }
+
+
+@pytest.fixture(scope="module")
+def crawl_control(app_ids, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("crawl-fuzz")
+    records = crawl(app_ids, directory / "control")
+    raw = (directory / "control" / CrawlJournal.JOURNAL_NAME).read_bytes()
+    return {
+        "journal": CrawlJournal.JOURNAL_NAME,
+        "raw": raw,
+        "lines": raw.splitlines(keepends=True),
+        "records": records,
+        "keyed": crawl_lines(directory / "control"),
         "workdir": directory,
     }
 
@@ -88,16 +130,25 @@ def damage(control, line: int, offset: int, flip: int | None) -> bytes:
 
 
 @contextmanager
+def damaged_directory(control, raw: bytes):
+    """A scratch directory holding only *raw* as the control's journal."""
+    directory = Path(tempfile.mkdtemp(dir=control["workdir"]))
+    (directory / control["journal"]).write_bytes(raw)
+    try:
+        yield directory
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+
+
+@contextmanager
 def resumed(app_ids, control, raw: bytes):
     """A fresh-world monitor over a directory holding only *raw*."""
-    directory = Path(tempfile.mkdtemp(dir=control["workdir"]))
-    (directory / MonitorJournal.JOURNAL_NAME).write_bytes(raw)
-    monitor = fresh(app_ids, directory)
-    try:
-        yield monitor
-    finally:
-        monitor.journal.close()
-        shutil.rmtree(directory, ignore_errors=True)
+    with damaged_directory(control, raw) as directory:
+        monitor = fresh(app_ids, directory)
+        try:
+            yield monitor
+        finally:
+            monitor.journal.close()
 
 
 def resume_and_check(app_ids, control, raw: bytes) -> None:
@@ -108,6 +159,22 @@ def resume_and_check(app_ids, control, raw: bytes) -> None:
         assert keyed(monitor.journal.entries) == control["entries"]
 
 
+def resume_crawl_and_check(app_ids, control, raw: bytes) -> None:
+    with damaged_directory(control, raw) as directory:
+        assert crawl(app_ids, directory) == control["records"]
+        assert crawl_lines(directory) == control["keyed"]
+
+
+CHECKS = {"monitor": resume_and_check, "crawl": resume_crawl_and_check}
+
+
+@pytest.fixture(scope="module", params=list(CHECKS))
+def journal_case(request):
+    """``(control, resume-and-check)`` of one journal."""
+    name = "control" if request.param == "monitor" else "crawl_control"
+    return request.getfixturevalue(name), CHECKS[request.param]
+
+
 @given(
     line=st.integers(min_value=0),
     offset=st.integers(min_value=0),
@@ -115,12 +182,13 @@ def resume_and_check(app_ids, control, raw: bytes) -> None:
 )
 @settings(deadline=None, max_examples=20)
 def test_any_cut_or_flipped_byte_resumes_to_the_control(
-    app_ids, control, line, offset, flip
+    app_ids, journal_case, line, offset, flip
 ):
+    control, check = journal_case
     lines = control["lines"]
     line %= len(lines)
     offset %= len(lines[line])
-    resume_and_check(app_ids, control, damage(control, line, offset, flip))
+    check(app_ids, control, damage(control, line, offset, flip))
 
 
 def _line_roles(control) -> dict[str, int]:
@@ -167,5 +235,52 @@ def test_a_replay_that_disagrees_with_its_line_raises(app_ids, control):
     # replays the last epoch from its plan line through that line.
     raw = b"".join(control["lines"][:line]) + encode_line(payload)
     with resumed(app_ids, control, raw) as monitor:
-        with pytest.raises(MonitorReplayError, match="durable line"):
+        with pytest.raises(ReplayError, match="durable line"):
             monitor.run()
+
+
+def _crawl_line_roles(control) -> dict[str, int]:
+    """Line indexes by role in the crawl control journal."""
+    calls = [
+        json.loads(piece.split(b"\t", 1)[1])["call"]
+        for piece in control["lines"]
+    ]
+    starts = [calls.index(call) for call in range(CRAWL_CALLS)]
+    assert starts == [0, calls.index(1)] and calls == sorted(calls)
+    return {
+        # the first call's start state: the re-run writes it afresh
+        "call0-start": starts[0],
+        # an app of the first call: re-crawled in place, appended last
+        "call0-interior": starts[0] + 3,
+        # the second call's start state, after the first call's apps
+        "call1-start": starts[1],
+        "call1-interior": (starts[1] + len(calls)) // 2,
+    }
+
+
+@pytest.mark.parametrize(
+    "role", ["call0-start", "call0-interior", "call1-start", "call1-interior"]
+)
+@pytest.mark.parametrize("flip", [None, 0x20], ids=["cut", "flip"])
+def test_structured_crawl_damage_resumes_to_the_control(
+    app_ids, crawl_control, role, flip
+):
+    line = _crawl_line_roles(crawl_control)[role]
+    offset = len(crawl_control["lines"][line]) // 2
+    resume_crawl_and_check(
+        app_ids, crawl_control, damage(crawl_control, line, offset, flip)
+    )
+
+
+def test_a_crawl_replay_that_disagrees_with_its_line_raises(
+    app_ids, crawl_control
+):
+    """A checksum-valid crawl line the re-crawl contradicts raises too."""
+    line = _crawl_line_roles(crawl_control)["call0-interior"]
+    lines = list(crawl_control["lines"])
+    payload = json.loads(lines[line].split(b"\t", 1)[1])
+    payload["record"]["name"] = "tampered"
+    lines[line] = encode_line(payload)
+    with damaged_directory(crawl_control, b"".join(lines)) as directory:
+        with pytest.raises(ReplayError, match="durable line"):
+            crawl(app_ids, directory)

@@ -37,7 +37,7 @@ def chaos_crawl(observer=None, journal_dir=None):
     apps = sorted(app.app_id for app in world.registry.all_apps())[:N_APPS]
     journal = None
     if journal_dir is not None:
-        journal = CrawlJournal(journal_dir, snapshot_every=8, resume=False)
+        journal = CrawlJournal(journal_dir, resume=False)
     try:
         with observation(observer):
             records = crawler.crawl_many(apps, journal=journal)
