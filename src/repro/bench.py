@@ -1,8 +1,8 @@
 """The perf-regression harness behind ``repro bench``.
 
 Every optimisation in this codebase keeps its naive reference path
-alive (``FeatureExtractor.vector``, ``_smo(row_cache=False)``,
-``batch_max=1``, and the edit-distance DPs with
+alive (``FeatureExtractor.vector``, ``batch_max=1``, and the
+edit-distance DPs with
 ``naive_cluster_names`` in :mod:`repro.text.reference`) because
 exactness is asserted against it.  This harness turns those
 pairs into a regression gate: each component is timed fast-vs-reference
@@ -36,24 +36,20 @@ __all__ = ["run_bench", "compare", "main"]
 BENCH_VERSION = 1
 
 #: ratios stable enough to gate on (large, workload-dominated, or —
-#: for smo and batched_service — repeated and normalised until they
-#: are); the remaining components are recorded for information only.
+#: for batched_service — repeated and normalised until they are); the
+#: remaining components are recorded for information only.
 GATED_COMPONENTS = (
     "feature_matrix",
     "name_clustering",
     "similarity_kernel",
-    "smo",
     "batched_service",
 )
 
 #: machine-independent absolute floors, checked on the *current* report
 #: regardless of the baseline: an optimisation that stops winning at
 #: all is a regression even if the baseline also recorded a loss.
-#: ``strict=True`` demands measured > floor; otherwise measured >= floor.
-ABSOLUTE_GATES = (
-    ("batched_service_speedup", 1.0, True),
-    ("smo_speedup", 1.0, False),
-)
+#: Each demands measured > floor.
+ABSOLUTE_GATES = (("batched_service_speedup", 1.0),)
 
 
 def _time(fn: Callable[[], Any], repeats: int = 1) -> tuple[float, Any]:
@@ -190,40 +186,6 @@ def _bench_similarity_kernel(n_names: int, seed: int) -> dict[str, Any]:
         "naive_s": naive_s,
         "fast_s": fast_s,
         "pairs_per_s": len(pairs) / fast_s,
-        "speedup": naive_s / fast_s,
-    }
-
-
-def _bench_smo(n_samples: int, seed: int) -> dict[str, Any]:
-    import numpy as np
-
-    from repro.ml.kernels import rbf_kernel
-    from repro.ml.svm import _smo
-
-    rng = np.random.default_rng(seed)
-    half = n_samples // 2
-    x = np.vstack(
-        [rng.normal(0.0, 1.0, (half, 9)), rng.normal(0.25, 1.0, (half, 9))]
-    )
-    signs = np.array([-1.0] * half + [1.0] * half)
-    kernel_matrix = rbf_kernel(x, x, gamma=1.0 / 9.0)
-
-    # Best-of-5: a single SMO run is short enough at CI scale that
-    # scheduler noise alone once pushed the ratio below 1.0x.
-    naive_s, reference = _time(
-        lambda: _smo(kernel_matrix, signs, 1.0, 1e-3, 200, row_cache=False),
-        repeats=5,
-    )
-    fast_s, fitted = _time(
-        lambda: _smo(kernel_matrix, signs, 1.0, 1e-3, 200, row_cache=True),
-        repeats=5,
-    )
-    assert np.array_equal(reference[0], fitted[0]) and reference[1] == fitted[1]
-    return {
-        "samples": n_samples,
-        "iterations": fitted[2],
-        "naive_s": naive_s,
-        "fast_s": fast_s,
         "speedup": naive_s / fast_s,
     }
 
@@ -427,7 +389,6 @@ def run_bench(mode: str = "quick", seed: int = 2012) -> dict[str, Any]:
         "similarity_kernel": _bench_similarity_kernel(
             n_names=1_500 if full else 600, seed=seed
         ),
-        "smo": _bench_smo(n_samples=600 if full else 300, seed=seed),
         "batched_service": _bench_batched_service(
             result,
             n_requests=120 if full else 60,
@@ -463,20 +424,19 @@ def compare(
     machine-independent speedup ratios are gated; extra gates in the
     current report (new components) pass trivially.  On top of the
     relative check, :data:`ABSOLUTE_GATES` demands that the batched
-    service and the SMO row cache keep *winning at all* — a fast path
-    slower than its reference is a bug, whatever the baseline says.
+    service keeps *winning at all* — a fast path slower than its
+    reference is a bug, whatever the baseline says.
     """
     failures = []
     gates = current.get("gates", {})
-    for gate, floor, strict in ABSOLUTE_GATES:
+    for gate, floor in ABSOLUTE_GATES:
         measured = gates.get(gate)
         if measured is None:
             failures.append(f"{gate}: missing from the current report")
-        elif measured < floor or (strict and measured == floor):
-            op = ">" if strict else ">="
+        elif measured <= floor:
             failures.append(
                 f"{gate}: {measured:.2f}x violates the absolute floor "
-                f"(must be {op} {floor:.2f}x: the fast path must not "
+                f"(must be > {floor:.2f}x: the fast path must not "
                 "lose to its reference)"
             )
     if current.get("mode") != baseline.get("mode"):

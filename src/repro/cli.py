@@ -46,7 +46,7 @@ import argparse
 import sys
 
 from repro.config import ScaleConfig
-from repro.durable import JournalVersionError, atomic_write
+from repro.durable import ConfigMismatchError, JournalVersionError, atomic_write
 
 __all__ = ["main", "build_parser"]
 
@@ -907,7 +907,7 @@ def _run(args: argparse.Namespace) -> int:
     """Run one command; a refused ``--checkpoint`` directory is one line."""
     try:
         return _COMMANDS[args.command](args)
-    except JournalVersionError as err:
+    except (JournalVersionError, ConfigMismatchError, FileExistsError) as err:
         print(f"repro: error: {err}", file=sys.stderr)
         return 2
 

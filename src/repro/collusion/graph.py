@@ -114,9 +114,6 @@ class DirectedGraph:
         links //= 2  # every undirected edge counted from both ends
         return links / (k * (k - 1) / 2)
 
-    def clustering_coefficients(self) -> dict[Hashable, float]:
-        return {node: self.local_clustering(node) for node in self._out}
-
     def average_degree(self, nodes: set[Hashable] | None = None) -> float:
         targets = nodes if nodes is not None else set(self._out)
         if not targets:

@@ -182,20 +182,17 @@ PAPER = PaperStats()
 
 @dataclass
 class ScaleConfig:
-    """The simulation scale and the handful of structural knobs.
+    """The simulation scale and seed, and the crawl's fault and checkpoint knobs.
 
-    ``scale`` multiplies every raw count (users, apps, posts).  Counts
-    that the paper reports as absolute structure (44 AppNet components,
-    103 indirection websites, 5 hosting domains) scale with a floor so
-    the structure survives small scales.
+    ``scale`` multiplies every app- and user-like count, and its square
+    every post count (:attr:`post_scale`).  Counts that the paper
+    reports as absolute structure (44 AppNet components, 103
+    indirection websites, 5 hosting domains) shrink with its square
+    root and a floor, so the structure survives small scales.
     """
 
     scale: float = 0.05
     master_seed: int = 2012
-    #: posts are the expensive object; allow scaling them harder than apps
-    post_scale: float | None = None
-    #: months of simulated observation (paper: 9)
-    months: int = 9
     #: per-request probability of an injected transient crawl fault
     #: (0 = the fault layer is a strict no-op; see platform.transport)
     fault_rate: float = 0.0
@@ -228,11 +225,16 @@ class ScaleConfig:
             raise ValueError(
                 f"blackouts must be >= 0, got {self.blackouts}"
             )
-        if self.post_scale is None:
-            # Posts outnumber apps ~800:1 in the paper; keep laptop runs
-            # tractable by scaling posts quadratically with the knob
-            # (scale=0.05 -> ~230K posts; scale=1.0 -> the full 91M).
-            self.post_scale = self.scale * self.scale
+
+    @property
+    def post_scale(self) -> float:
+        """The post-count multiplier: ``scale`` squared.
+
+        Posts outnumber apps ~800:1 in the paper; scaling them
+        quadratically keeps laptop runs tractable (scale=0.05 -> ~230K
+        posts; scale=1.0 -> the full 91M).
+        """
+        return self.scale * self.scale
 
     def count(self, paper_value: int, minimum: int = 1) -> int:
         """Scale an app/user-like count, with a floor."""
@@ -240,7 +242,6 @@ class ScaleConfig:
 
     def post_count(self, paper_value: int, minimum: int = 1) -> int:
         """Scale a post-like count, with a floor."""
-        assert self.post_scale is not None
         return max(minimum, int(round(paper_value * self.post_scale)))
 
     @property
@@ -254,10 +255,6 @@ class ScaleConfig:
     @property
     def n_posts(self) -> int:
         return self.post_count(PAPER.total_posts, minimum=5_000)
-
-    @property
-    def n_malicious_apps(self) -> int:
-        return self.count(PAPER.d_sample_malicious, minimum=40)
 
     def structural(self, paper_value: int, minimum: int = 2) -> int:
         """Scale a *structural* count (components, websites, domains).
@@ -296,8 +293,6 @@ class ServiceConfig:
     #: TTL for negative entries (authoritative PERMANENT removals);
     #: a removed app cannot come back, so this is long by default
     negative_ttl_s: float = 24 * 3600.0
-    #: schedule background refreshes for stale-while-revalidate hits
-    revalidate: bool = True
     #: per-endpoint-class bulkhead: the fraction of a request's
     #: remaining deadline one endpoint class may consume, so a slow
     #: Graph API lookup cannot eat the whole request budget

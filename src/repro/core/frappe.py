@@ -140,7 +140,7 @@ class FrappeClassifier:
         if benign_per_malicious is not None:
             x, y = subsample_to_ratio(x, y, benign_per_malicious, rng)
         return cross_validate(
-            lambda: SVC(**self._svm_params), x, y, k=k, rng=rng, scale=True
+            lambda: SVC(**self._svm_params), x, y, k=k, rng=rng
         )
 
 

@@ -25,6 +25,7 @@ from typing import Any, Callable
 
 __all__ = [
     "JournalVersionError",
+    "ConfigMismatchError",
     "ReplayError",
     "check_version",
     "atomic_write",
@@ -43,6 +44,10 @@ logger = logging.getLogger(__name__)
 
 class JournalVersionError(ValueError):
     """A journal written in another line format: refused, not migrated."""
+
+
+class ConfigMismatchError(ValueError):
+    """A log directory stamped with another configuration's fingerprint."""
 
 
 class ReplayError(RuntimeError):
@@ -205,7 +210,8 @@ def check_fingerprint(meta_path: str | Path, fingerprint: dict, what: str) -> No
 
     The first open stamps *meta_path* with *fingerprint*; later opens
     must match it, or resuming would silently mix entries from
-    incompatible runs.  *what* names the log in messages.
+    incompatible runs, so a mismatch raises :class:`ConfigMismatchError`.
+    *what* names the log in messages.
     """
     meta_path = Path(meta_path)
     stored = None
@@ -221,11 +227,11 @@ def check_fingerprint(meta_path: str | Path, fingerprint: dict, what: str) -> No
             )
     if stored is not None:
         if stored != fingerprint:
-            raise ValueError(
+            raise ConfigMismatchError(
                 f"{what} at {meta_path.parent} was written under a "
-                f"different configuration.\n  stored:  {stored}\n"
-                f"  current: {fingerprint}\nResume with the original "
-                "settings, or start a fresh directory."
+                f"different configuration (stored {stored}; current "
+                f"{fingerprint}). Resume with the original settings, or "
+                "start a fresh directory."
             )
         return
     atomic_write(

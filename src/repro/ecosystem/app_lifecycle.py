@@ -197,7 +197,3 @@ class LifecycleScript:
                 ]
             applied.append(event)
         return applied
-
-    def events_for(self, app_id: str) -> list[LifecycleEvent]:
-        """All scripted events of one app (ground truth for tests)."""
-        return [e for e in self.events if e.app_id == app_id]

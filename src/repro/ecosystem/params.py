@@ -31,14 +31,6 @@ class GenerationParams:
     loud_pod_member_probability: float = 1.0
     stealth_pod_member_probability: float = 0.0
 
-    @property
-    def malicious_app_flagged_probability(self) -> float:
-        """Marginal P(app loud) implied by the pod-level law (~0.44)."""
-        return (
-            self.loud_pod_probability * self.loud_pod_member_probability
-            + (1 - self.loud_pod_probability) * self.stealth_pod_member_probability
-        )
-
     # ------------------------------------------------------------------
     # Summary completeness (Fig 5).
     # ------------------------------------------------------------------
@@ -53,22 +45,22 @@ class GenerationParams:
     # Permissions (Fig 6/7): 97% of malicious apps request exactly
     # publish_stream; benign permission counts follow a geometric tail
     # beyond the 62% single-permission mass (a handful request 10+).
+    # The tail's parameter is fixed in benign.draw_benign_permissions.
     # ------------------------------------------------------------------
     malicious_single_permission: float = PAPER.malicious_single_permission_fraction
     benign_single_permission: float = PAPER.benign_single_permission_fraction
-    benign_extra_permission_p: float = 0.35  # geometric tail parameter
 
     # ------------------------------------------------------------------
     # Redirect URIs and WOT (Fig 8, Table 3): 80% of benign apps
     # redirect inside apps.facebook.com; malicious apps land on a small
-    # set of spam domains (top 5 host 83% of them), 80% of which WOT has
-    # never scored and the rest score < 5.
+    # set of spam domains, 80% of which WOT has never scored and the
+    # rest score < 5.  Table 3's top-5 coverage (83%) is measured, not
+    # set: it follows from the shared spam-domain pool.
     # ------------------------------------------------------------------
     benign_redirect_facebook: float = PAPER.benign_redirect_facebook_fraction
     malicious_wot_coverage: float = 0.20  # Fig 8: ~80% of malicious
     # redirect domains end up with no WOT score at the app level
     malicious_wot_max_score: float = 5.0
-    top5_hosting_coverage: float = PAPER.top5_hosting_domains_coverage
 
     # ------------------------------------------------------------------
     # Client-ID mismatch (Sec 4.1.4).
@@ -101,15 +93,13 @@ class GenerationParams:
     # ------------------------------------------------------------------
     # Posting behaviour (Fig 12): 80% of benign apps post no external
     # link; 40% of malicious apps average ~1 external link per post.
-    # 92% of shortened URLs go through bit.ly; < 10% of them point back
-    # to Facebook.
+    # 92% of shortened URLs go through bit.ly.
     # ------------------------------------------------------------------
     benign_zero_external: float = PAPER.benign_zero_external_fraction
     benign_external_ratio_beta: tuple[float, float] = (1.2, 8.0)
     malicious_low_external: float = 0.40  # some campaigns use plain text lures
     bitly_share: float = PAPER.bitly_share_of_short_urls
     short_url_unresolvable: float = 0.09  # 503 of 5,700 failed to expand
-    shortened_back_to_facebook: float = PAPER.shortened_pointing_back_to_fb_fraction
 
     # ------------------------------------------------------------------
     # Post volumes: heavy-tailed (Zipf-like) per-app volumes; the top
@@ -151,19 +141,17 @@ class GenerationParams:
     # ------------------------------------------------------------------
     # AppNets (Sec 6.1): role split 25/58.8/16.2; the collusion graph
     # has 44 components whose top-5 sizes are ~ (3484, 770, 589, 296,
-    # 247) at full scale; pods (same-name clusters) are near-cliques,
-    # which yields Fig 14's clustering-coefficient mass above 0.74.
+    # 247) at full scale.  Fig 14's clustering coefficients are not set
+    # here: they follow from role-homogeneous pods (same-name clusters)
+    # sharing their promotion targets (see ecosystem.campaigns).
     # ------------------------------------------------------------------
     promoter_fraction: float = PAPER.promoter_fraction
     promotee_fraction: float = PAPER.promotee_fraction
     dual_fraction: float = PAPER.dual_role_fraction
     #: fraction of malicious apps that collude at all (6,331 / 6,273+8,051)
     colluding_fraction: float = 0.44
-    pod_edge_density: float = 0.85
-    cross_pod_edge_probability: float = 0.08
     #: fraction of promotion done with direct app links vs indirection
     direct_promotion_fraction: float = 0.35
-    indirection_sites_per_campaign: float = 2.4  # 103 sites / 44 campaigns
     aws_hosting_fraction: float = PAPER.indirection_on_aws_fraction
 
     # ------------------------------------------------------------------
@@ -199,10 +187,9 @@ class GenerationParams:
     benign_hobbyist_fraction: float = 0.02
 
     # ------------------------------------------------------------------
-    # MyPageKeeper signal strength: how separable spam posts are.
+    # MyPageKeeper signal strength.  Lure texts come from
+    # ecosystem.messages; only the blacklist's reach is a knob.
     # ------------------------------------------------------------------
-    spam_message_keyword_rate: float = 0.9
-    benign_message_keyword_rate: float = 0.02
     #: URLs of flaggable campaigns that also land on the blacklist
     blacklist_hit_rate: float = 0.55
 

@@ -55,13 +55,12 @@ def cross_validate(
     y: np.ndarray,
     k: int = 5,
     rng: np.random.Generator | None = None,
-    scale: bool = True,
 ) -> ClassificationReport:
     """k-fold stratified CV; returns the pooled confusion report.
 
-    A fresh model from *model_factory* is trained per fold.  When
-    *scale* is set, a :class:`StandardScaler` is fitted on each training
-    split only (no leakage) and applied to its test split.
+    A fresh model from *model_factory* is trained per fold, after a
+    :class:`StandardScaler` fitted on that fold's training split only
+    (no leakage) is applied to both of its splits.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y).astype(int).ravel()
@@ -73,10 +72,9 @@ def cross_validate(
         test_mask[fold] = True
         x_train, y_train = x[~test_mask], y[~test_mask]
         x_test, y_test = x[test_mask], y[test_mask]
-        if scale:
-            scaler = StandardScaler().fit(x_train)
-            x_train = scaler.transform(x_train)
-            x_test = scaler.transform(x_test)
+        scaler = StandardScaler().fit(x_train)
+        x_train = scaler.transform(x_train)
+        x_test = scaler.transform(x_test)
         model = model_factory().fit(x_train, y_train)
         pooled = pooled + confusion_report(y_test, model.predict(x_test))
     return pooled

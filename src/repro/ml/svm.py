@@ -228,34 +228,16 @@ def _smo(
     c: float,
     tol: float,
     max_passes: int,
-    row_cache: bool = True,
     init_alphas: np.ndarray | None = None,
     init_bias: float = 0.0,
 ) -> tuple[np.ndarray, float, int]:
     """Platt SMO over a precomputed Gram matrix.
 
     Returns ``(alphas, bias, outer_iterations)``.  ``signs`` holds the
-    +/-1 labels.
-
-    ``row_cache=True`` (the default) enables two caches in the examine
-    loop's hot path; both are exact identities, so the fitted model is
-    bit-for-bit the same as with ``row_cache=False`` (the tests fit
-    both ways and assert it):
-
-    * the Gram-weighting coefficient vector ``alphas * signs`` used by
-      the error recomputation is maintained incrementally instead of
-      being reallocated on every ``_f_of`` call — the two touched
-      entries get the very same products the full recomputation would;
-    * the examine fallback's scan offset is memoised per
-      ``(i2, len(non_bound))`` — a *fresh* ``default_rng(i2)`` always
-      produces the same first draw for the same bounds, so building one
-      generator per call (the old behaviour, ~tens of microseconds
-      each) only ever recomputed a constant;
-    * the non-bound set ``(alphas > eps) & (alphas < c - eps)`` is
-      maintained as a boolean mask updated at the two entries each
-      successful step changes, instead of being rebuilt from two full
-      comparisons per examine call; ``flatnonzero`` of the mask yields
-      the identical sorted index array.
+    +/-1 labels.  The loop keeps no cache beyond Platt's error cache:
+    caching ``alphas * signs``, the non-bound mask or the fallback
+    scan's offset leaves every fit bit-for-bit the same and saves under
+    1% of a study.
     """
     n = len(signs)
     eps = 1e-12
@@ -264,21 +246,12 @@ def _smo(
         bias = 0.0
         # Error cache: E_i = f(x_i) - y_i; with alphas = 0, f = 0.
         errors = -signs.copy()
-        # alphas * signs, maintained incrementally when row_cache is on.
-        coef = np.zeros(n)
     else:
         alphas = project_feasible_alphas(init_alphas, signs, c)
         bias = float(init_bias)
-        coef = alphas * signs
-        errors = kernel_matrix @ coef + bias - signs
-    roll_cache: dict[tuple[int, int], int] = {}
-    # Maintained incrementally when row_cache is on (exact: only the
-    # entries take_step writes can change the predicate).
-    non_bound_mask = (alphas > eps) & (alphas < c - eps)
+        errors = kernel_matrix @ (alphas * signs) + bias - signs
 
     def _non_bound() -> np.ndarray:
-        if row_cache:
-            return np.flatnonzero(non_bound_mask)
         return np.flatnonzero((alphas > eps) & (alphas < c - eps))
 
     def take_step(i1: int, i2: int) -> bool:
@@ -343,18 +316,12 @@ def _smo(
             + delta_bias
         )
         alphas[i1], alphas[i2] = a1, a2
-        if row_cache:
-            coef[i1] = a1 * y1
-            coef[i2] = a2 * y2
-            non_bound_mask[i1] = eps < a1 < c - eps
-            non_bound_mask[i2] = eps < a2 < c - eps
         errors[i1] = _f_of(i1) - y1
         errors[i2] = _f_of(i2) - y2
         return True
 
     def _f_of(i: int) -> float:
-        weights = coef if row_cache else alphas * signs
-        return float(weights @ kernel_matrix[:, i] + bias)
+        return float((alphas * signs) @ kernel_matrix[:, i] + bias)
 
     def examine(i2: int) -> bool:
         y2 = signs[i2]
@@ -369,25 +336,10 @@ def _smo(
                 if take_step(i1, i2):
                     return True
             # Fall back to scanning non-bound, then all, points, from a
-            # seeded random offset.  The draw is a pure function of
-            # (i2, len(non_bound)) — default_rng(i2) is constructed
-            # fresh, so its first draw for given bounds never varies —
-            # and is memoised instead of paying generator construction
-            # on every examine call.
-            if row_cache:
-                roll_key = (i2, len(non_bound))
-                roll = roll_cache.get(roll_key)
-                if roll is None:
-                    roll = int(
-                        np.random.default_rng(i2).integers(
-                            0, max(len(non_bound), 1)
-                        )
-                    )
-                    roll_cache[roll_key] = roll
-            else:
-                roll = int(
-                    np.random.default_rng(i2).integers(0, max(len(non_bound), 1))
-                )
+            # seeded random offset.
+            roll = int(
+                np.random.default_rng(i2).integers(0, max(len(non_bound), 1))
+            )
             for i1 in np.roll(non_bound, roll):
                 if take_step(int(i1), i2):
                     return True

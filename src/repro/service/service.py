@@ -811,8 +811,6 @@ class VerdictService:
         )
 
     def _schedule_refresh(self, app_id: str, now: float) -> None:
-        if not self.config.revalidate:
-            return
         if not self.cache.begin_revalidation(app_id):
             return  # one in flight already
         refresh = ScoreRequest(

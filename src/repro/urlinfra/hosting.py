@@ -33,9 +33,6 @@ class HostingRegistry:
         domain = domain_of(url)
         return self.provider_of_domain(domain) if domain else "unknown"
 
-    def domains_on(self, provider: str) -> list[str]:
-        return sorted(d for d, p in self._provider_of.items() if p == provider)
-
     def provider_histogram(self, urls: list[str]) -> Counter[str]:
         """Provider → count over a list of URLs (Sec 6.1's AWS share)."""
         return Counter(self.provider_of_url(u) for u in urls)

@@ -51,9 +51,6 @@ class WotService:
             return WOT_UNKNOWN
         return self.score_domain(domain)
 
-    def known_domains(self) -> list[str]:
-        return sorted(self._scores)
-
     # -- seeding helpers used by the ecosystem generator -----------------
 
     def seed_reputable(self, domain: str, low: float = 70.0, high: float = 98.0) -> None:

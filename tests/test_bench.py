@@ -19,7 +19,7 @@ from repro.bench import BENCH_VERSION, GATED_COMPONENTS, compare
 def report(mode="quick", **gates):
     # Every synthetic report satisfies the absolute floors by default
     # so the relative-gate tests stay focused on the ratio semantics.
-    base = {"batched_service_speedup": 1.4, "smo_speedup": 1.1}
+    base = {"batched_service_speedup": 1.4}
     base.update(gates)
     return {"mode": mode, "gates": base}
 
@@ -129,10 +129,9 @@ def test_present_baseline_still_gates(monkeypatch, tmp_path):
 
 
 def test_gated_components_include_the_service_and_smo_ratios():
-    # smo and batched_service graduated to gated once the harness was
-    # made fair (training hoisted out of the timed region, best-of-N
-    # repeats, per-served normalisation)
-    assert "smo" in GATED_COMPONENTS
+    # batched_service graduated to gated once the harness was made fair
+    # (training hoisted out of the timed region, best-of-N repeats,
+    # per-served normalisation)
     assert "batched_service" in GATED_COMPONENTS
     assert "feature_matrix" in GATED_COMPONENTS
     assert "name_clustering" in GATED_COMPONENTS
@@ -151,18 +150,6 @@ def test_batched_service_must_strictly_beat_unbatched():
     assert any(
         "batched_service_speedup" in f for f in compare(at_par, baseline)
     )
-
-
-def test_smo_row_cache_must_not_lose():
-    baseline = report()
-    losing = report(smo_speedup=0.97)
-    failures = compare(losing, baseline)
-    assert any(
-        "smo_speedup" in f and "absolute floor" in f for f in failures
-    )
-    # >= 1.0 is acceptable for smo (it must not lose, par is fine)
-    at_par = report(smo_speedup=1.0)
-    assert not any("smo_speedup" in f for f in compare(at_par, baseline))
 
 
 def test_absolute_floor_fails_even_when_the_baseline_also_lost():

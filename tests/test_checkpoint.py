@@ -358,6 +358,32 @@ def test_cli_refuses_an_old_checkpoint_in_one_line(tmp_path, capsys, command):
     assert str(directory) in err[-1] and "v1" in err[-1]
 
 
+@pytest.mark.parametrize("command", ["crawl", "monitor"])
+def test_cli_refuses_a_used_or_foreign_checkpoint_in_one_line(
+    tmp_path, capsys, command
+):
+    directory = str(tmp_path / "ck")
+    tail = [command] + (["--epochs", "1"] if command == "monitor" else [])
+
+    def run(seed, *flags):
+        code = main([
+            "--scale", str(TEST_SCALE), "--seed", str(seed),
+            "--checkpoint", directory, *flags, *tail,
+        ])
+        return code, capsys.readouterr().err.splitlines()
+
+    assert run(TEST_SEED)[0] == 0
+    for flags, seed, reason in (
+        ((), TEST_SEED, "--resume"),  # used directory, no --resume
+        (("--resume",), TEST_SEED + 1, "different configuration"),
+    ):
+        code, err = run(seed, *flags)
+        assert code == 2
+        assert [line for line in err if line.startswith("repro: error: ")] \
+            == [err[-1]]
+        assert directory in err[-1] and reason in err[-1]
+
+
 # -- configuration fingerprint ----------------------------------------------
 
 

@@ -74,7 +74,3 @@ def test_post_scale_is_quadratic_by_default():
     config = ScaleConfig(scale=0.1)
     assert config.post_scale == pytest.approx(0.01)
 
-
-def test_post_scale_override():
-    config = ScaleConfig(scale=0.1, post_scale=0.5)
-    assert config.n_posts == int(round(PAPER.total_posts * 0.5))
