@@ -45,7 +45,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.config import ScaleConfig
+from repro.config import ConfigValueError, ScaleConfig
 from repro.durable import ConfigMismatchError, JournalVersionError, atomic_write
 
 __all__ = ["main", "build_parser"]
@@ -534,13 +534,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         make_service,
     )
 
-    result = FrappePipeline(_config(args)).run(sweep_unlabelled=False)
-    service = make_service(
-        result,
-        ServiceConfig(
-            max_queue_depth=args.queue_depth, batch_max=args.batch_max
-        ),
+    # Checked before the pipeline runs, so a bad flag fails at once.
+    config = ServiceConfig(
+        max_queue_depth=args.queue_depth, batch_max=args.batch_max
     )
+    result = FrappePipeline(_config(args)).run(sweep_unlabelled=False)
+    service = make_service(result, config)
     if args.canary:
         service.rollout = _build_canary_rollout(service, args.canary)
     capacity = estimate_capacity_rps(result.world.schedule)
@@ -904,10 +903,14 @@ _UNOBSERVED = ("obs", "ingest", "report", "bench")
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Run one command; a refused ``--checkpoint`` directory is one line."""
+    """Run one command; a refused ``--checkpoint`` directory or an
+    out-of-range configuration value is one line."""
     try:
         return _COMMANDS[args.command](args)
-    except (JournalVersionError, ConfigMismatchError, FileExistsError) as err:
+    except (
+        JournalVersionError, ConfigMismatchError, FileExistsError,
+        ConfigValueError,
+    ) as err:
         print(f"repro: error: {err}", file=sys.stderr)
         return 2
 

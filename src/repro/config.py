@@ -20,7 +20,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["PaperStats", "PAPER", "ScaleConfig", "ServiceConfig"]
+__all__ = [
+    "ConfigValueError", "PaperStats", "PAPER", "ScaleConfig", "ServiceConfig",
+]
+
+
+class ConfigValueError(ValueError):
+    """A configuration value outside its allowed range.
+
+    Raised by the range checks of :class:`ScaleConfig` and
+    :class:`ServiceConfig`; the CLI reports it as one ``repro: error:``
+    line instead of a traceback.
+    """
 
 
 @dataclass(frozen=True)
@@ -212,17 +223,17 @@ class ScaleConfig:
 
     def __post_init__(self) -> None:
         if not 0 < self.scale <= 1.0:
-            raise ValueError(f"scale must be in (0, 1], got {self.scale}")
+            raise ConfigValueError(f"scale must be in (0, 1], got {self.scale}")
         if not 0.0 <= self.fault_rate < 1.0:
-            raise ValueError(
+            raise ConfigValueError(
                 f"fault_rate must be in [0, 1), got {self.fault_rate}"
             )
         if self.retry_budget < 1:
-            raise ValueError(
+            raise ConfigValueError(
                 f"retry_budget must be >= 1, got {self.retry_budget}"
             )
         if self.blackouts < 0:
-            raise ValueError(
+            raise ConfigValueError(
                 f"blackouts must be >= 0, got {self.blackouts}"
             )
 
@@ -322,11 +333,11 @@ class ServiceConfig:
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
-            raise ValueError(
+            raise ConfigValueError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
             )
         if self.batch_max < 1:
-            raise ValueError(
+            raise ConfigValueError(
                 f"batch_max must be >= 1, got {self.batch_max}"
             )
         for name in (
@@ -336,15 +347,15 @@ class ServiceConfig:
             "cache_ttl_s",
         ):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ConfigValueError(f"{name} must be positive")
         if self.cache_stale_ttl_s < self.cache_ttl_s:
-            raise ValueError(
+            raise ConfigValueError(
                 "cache_stale_ttl_s must be >= cache_ttl_s "
                 f"({self.cache_stale_ttl_s} < {self.cache_ttl_s})"
             )
         for endpoint, fraction in self.bulkhead_fractions:
             if not 0.0 < fraction <= 1.0:
-                raise ValueError(
+                raise ConfigValueError(
                     f"bulkhead fraction for {endpoint!r} must be in "
                     f"(0, 1], got {fraction}"
                 )

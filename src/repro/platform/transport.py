@@ -303,10 +303,16 @@ class TransportStats:
     (backoff, retry-after, circuit-breaker cooldowns).  Their sum is the
     simulated wall clock the resilience layer schedules against.
 
-    The verdict service shares one transport (hence one stats clock)
-    across in-flight requests, so every mutation goes through a method
-    that holds an internal lock; lost updates would silently shrink the
-    simulated clock and break deterministic replay.
+    Every mutation, and every read that combines fields (the two clocks,
+    :meth:`snapshot`, :meth:`restore`), holds an internal lock, so the
+    global and app-frame counters always move together.  The program
+    itself drives each stats object from one thread: the crawl is
+    sequential and the verdict service is one simulated worker that
+    holds its stats once and reads the clock a few times per tick.  The
+    lock keeps a caller that does share one object across threads from
+    losing updates, which would silently shrink the simulated clock and
+    break deterministic replay; uncontended, it costs one acquire per
+    call.
     """
 
     requests: int = 0

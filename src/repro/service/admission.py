@@ -45,12 +45,16 @@ class AdmissionQueue:
         self.offered_counts: Counter[str] = Counter()
         #: high-water mark of the queue depth ever observed
         self.max_depth_seen = 0
+        #: requests queued across all lanes; every lane mutation below
+        #: keeps it equal to the lanes' total, so the serving loop's
+        #: depth checks never walk the lanes
+        self._depth = 0
 
     def __len__(self) -> int:
-        return sum(len(lane) for lane in self._lanes.values())
+        return self._depth
 
     def __bool__(self) -> bool:
-        return len(self) > 0
+        return self._depth > 0
 
     def depth_of(self, priority: str) -> int:
         return len(self._lanes[priority])
@@ -63,18 +67,20 @@ class AdmissionQueue:
         or contains *request* itself (rejected).
         """
         self.offered_counts[request.priority] += 1
-        if len(self) < self.max_depth:
+        if self._depth < self.max_depth:
             self._lanes[request.priority].append(request)
-            self.max_depth_seen = max(self.max_depth_seen, len(self))
+            self._depth += 1
+            if self._depth > self.max_depth_seen:
+                self.max_depth_seen = self._depth
             return []
         victim = self._youngest_below(request.rank)
         if victim is None:
             self.shed_counts[request.priority] += 1
             return [request]
+        # Evict-and-append: the depth (already the high-water mark) holds.
         self._lanes[victim.priority].remove(victim)
         self.shed_counts[victim.priority] += 1
         self._lanes[request.priority].append(request)
-        self.max_depth_seen = max(self.max_depth_seen, len(self))
         return [victim]
 
     def _youngest_below(self, rank: int) -> ScoreRequest | None:
@@ -92,6 +98,7 @@ class AdmissionQueue:
         for priority in PRIORITIES:
             lane = self._lanes[priority]
             if lane:
+                self._depth -= 1
                 return lane.pop(0)
         raise IndexError("pop from an empty AdmissionQueue")
 
@@ -123,6 +130,7 @@ class AdmissionQueue:
                 break
         if not batch:
             raise IndexError("pop from an empty AdmissionQueue")
+        self._depth -= len(batch)
         return batch
 
     def peek_batch(self, limit: int) -> list[ScoreRequest]:

@@ -380,6 +380,9 @@ class VerdictService:
             negative_ttl_s=self.config.negative_ttl_s,
         )
         self.queue = AdmissionQueue(max_depth=self.config.max_queue_depth)
+        #: the shared simulated clock (the crawler's transport stats),
+        #: held directly so a clock read is one property, not three hops
+        self._stats = self._crawler.stats
         self._sequence = 0
         self._report = ServiceReport(queue_bound=self.config.max_queue_depth)
         #: simulated instant the (overlapped) scoring stage is busy
@@ -396,11 +399,11 @@ class VerdictService:
 
     @property
     def stats(self) -> TransportStats:
-        return self._crawler.stats
+        return self._stats
 
     @property
     def now_s(self) -> float:
-        return self.stats.elapsed_s
+        return self._stats.elapsed_s
 
     # -- the public one-shot API -------------------------------------------
 
@@ -445,12 +448,12 @@ class VerdictService:
     def drain(self) -> None:
         """Process queued work (notably background refreshes) to empty."""
         while self.queue:
-            for request, response in self._serve_tick():
+            for request, response in self._serve_tick(self.now_s):
                 if not request.internal:
                     self._report.responses.append(response)
-        self._sync_scorer()
+        self._sync_scorer(self.now_s)
 
-    def _sync_scorer(self, horizon_s: float | None = None) -> None:
+    def _sync_scorer(self, now_s: float, horizon_s: float | None = None) -> float:
         """Advance the clock into outstanding overlapped score work.
 
         At ``batch_max > 1`` a tick's scoring runs concurrently (on the
@@ -459,14 +462,17 @@ class VerdictService:
         worker would otherwise go idle — or the run ends — the clock
         catches up to the scorer here, up to ``horizon_s`` (e.g. the
         next arrival).  A strict no-op at ``batch_max=1``.
+
+        *now_s* is the caller's current clock read; the return value is
+        the clock after the catch-up (re-read only when it debited).
         """
-        pending = self._score_busy_until - self.now_s
-        if pending <= 0.0:
-            return
+        pending = self._score_busy_until - now_s
         if horizon_s is not None:
-            pending = min(pending, horizon_s - self.now_s)
-        if pending > 0.0:
-            self.stats.add_service(pending)
+            pending = min(pending, horizon_s - now_s)
+        if pending <= 0.0:
+            return now_s
+        self._stats.add_service(pending)
+        return self._stats.elapsed_s
 
     # -- the served workload -----------------------------------------------
 
@@ -481,30 +487,37 @@ class VerdictService:
         arrivals = sorted(
             requests, key=lambda r: (r.arrival_s, r.sequence)
         )
-        started_at = self.now_s
+        count = len(arrivals)
+        queue = self.queue
+        stats = self._stats
+        started_at = stats.elapsed_s
         report = self._report = ServiceReport(
             queue_bound=self.config.max_queue_depth
         )
+        responses = report.responses
         index = 0
         while True:
-            now = self.now_s
-            while index < len(arrivals) and arrivals[index].arrival_s <= now:
-                self._admit(arrivals[index])
+            # One clock read per iteration: admitting arrivals never
+            # debits the clock, so the read holds through the tick's
+            # planning.
+            now = stats.elapsed_s
+            while index < count and arrivals[index].arrival_s <= now:
+                self._admit(arrivals[index], now)
                 index += 1
-            if not self.queue:
-                if index >= len(arrivals):
-                    self._sync_scorer()
+            if not queue:
+                if index >= count:
+                    self._sync_scorer(now)
                     break
-                self._sync_scorer(horizon_s=arrivals[index].arrival_s)
-                idle = arrivals[index].arrival_s - self.now_s
+                upcoming = arrivals[index].arrival_s
+                idle = upcoming - self._sync_scorer(now, horizon_s=upcoming)
                 if idle > 0.0:
-                    self.stats.add_wait(idle)
+                    stats.add_wait(idle)
                     report.idle_s += idle
                 continue
-            for request, response in self._serve_tick():
+            for request, response in self._serve_tick(now):
                 if not request.internal:
-                    report.responses.append(response)
-        report.elapsed_s = self.now_s - started_at
+                    responses.append(response)
+        report.elapsed_s = stats.elapsed_s - started_at
         report.offered = {
             priority: count
             for priority, count in sorted(self.queue.offered_counts.items())
@@ -535,17 +548,17 @@ class VerdictService:
 
     # -- admission ----------------------------------------------------------
 
-    def _admit(self, request: ScoreRequest) -> None:
+    def _admit(self, request: ScoreRequest, now: float) -> None:
         for victim in self.queue.offer(request):
-            self._shed(victim)
+            self._shed(victim, now)
 
-    def _shed(self, victim: ScoreRequest) -> None:
+    def _shed(self, victim: ScoreRequest, now: float) -> None:
         """Answer a request evicted (or rejected) by admission control."""
         obs = get_observer()
         if obs.enabled:
             obs.event(
                 "serve.shed",
-                t=self.now_s,
+                t=now,
                 category="serve",
                 app_id=victim.app_id,
                 priority=victim.priority,
@@ -555,7 +568,6 @@ class VerdictService:
         if victim.internal:
             self.cache.abandon_revalidation(victim.app_id)
             return
-        now = self.now_s
         self._report.responses.append(
             VerdictResponse(
                 app_id=victim.app_id,
@@ -599,55 +611,54 @@ class VerdictService:
         obs.sim_cost("serve", response.latency_s)
 
     def _consult_cache(
-        self, request: ScoreRequest, started: float
-    ) -> tuple[VerdictResponse | None, str]:
-        """Cache-served response, or the cache state a live crawl records."""
-        obs = get_observer()
-        with obs.profile("serve.cache"):
-            return self._consult_cache_inner(request, started, obs)
-
-    def _consult_cache_inner(
         self, request: ScoreRequest, started: float, obs
     ) -> tuple[VerdictResponse | None, str]:
-        version = (
-            self.rollout.champion.version if self.rollout is not None else None
-        )
-        state, entry = self.cache.lookup(
-            request.app_id, started, model_version=version
-        )
-        if obs.enabled:
-            obs.event(
-                "cache.lookup",
-                t=started,
-                category="serve",
-                app_id=request.app_id,
-                state=state,
+        """Cache-served response, or the cache state a live crawl records."""
+        with obs.profile("serve.cache"):
+            version = (
+                self.rollout.champion.version
+                if self.rollout is not None else None
             )
-            obs.count("cache_lookups_total", state=state)
-        if state == FRESH and entry is not None:
-            return self._from_cache(
-                request, entry, started,
-                rung=RUNG_CACHED,
-                cache_state="negative" if entry.negative else "fresh",
-                reason="verdict cache hit"
-                + (" (negative: authoritative removal)" if entry.negative else ""),
-            ), ""
-        if state == STALE and entry is not None:
-            self._schedule_refresh(request.app_id, started)
-            return self._from_cache(
-                request, entry, started,
-                rung=RUNG_STALE,
-                cache_state="stale",
-                reason=(
-                    f"stale verdict ({entry.age_s(started):.0f}s old) "
-                    "served while a background refresh revalidates"
-                ),
-            ), ""
-        return None, ("miss" if state == MISS else "expired")
+            state, entry = self.cache.lookup(
+                request.app_id, started, model_version=version
+            )
+            if obs.enabled:
+                obs.event(
+                    "cache.lookup",
+                    t=started,
+                    category="serve",
+                    app_id=request.app_id,
+                    state=state,
+                )
+                obs.count("cache_lookups_total", state=state)
+            if state == FRESH and entry is not None:
+                return self._from_cache(
+                    request, entry, started,
+                    rung=RUNG_CACHED,
+                    cache_state="negative" if entry.negative else "fresh",
+                    reason="verdict cache hit" + (
+                        " (negative: authoritative removal)"
+                        if entry.negative else ""
+                    ),
+                ), ""
+            if state == STALE and entry is not None:
+                self._schedule_refresh(request.app_id, started)
+                return self._from_cache(
+                    request, entry, started,
+                    rung=RUNG_STALE,
+                    cache_state="stale",
+                    reason=(
+                        f"stale verdict ({entry.age_s(started):.0f}s old) "
+                        "served while a background refresh revalidates"
+                    ),
+                ), ""
+            return None, ("miss" if state == MISS else "expired")
 
     # -- batched ticks -------------------------------------------------------
 
-    def _serve_tick(self) -> list[tuple[ScoreRequest, VerdictResponse]]:
+    def _serve_tick(
+        self, now: float
+    ) -> list[tuple[ScoreRequest, VerdictResponse]]:
         """Drain one scheduling tick of the queue.
 
         Every tick drains a :func:`plan_batch`-planned number of
@@ -656,12 +667,15 @@ class VerdictService:
         hands them to :meth:`_handle_batch`.  With ``batch_max > 1`` the
         tick's scoring overlaps the next tick's crawl I/O; at
         ``batch_max=1`` every tick is one request scored in line.
+
+        *now* is the caller's clock read; nothing debits the clock
+        between that read and the end of planning.
         """
         obs = get_observer()
         with obs.profile("serve.pop"):
             plan = plan_batch(
                 self.queue,
-                self.now_s,
+                now,
                 batch_max=self.config.batch_max,
                 service_estimate_s=BATCH_HEADROOM_S,
             )
@@ -669,7 +683,7 @@ class VerdictService:
         if obs.enabled:
             obs.event(
                 "serve.batch_planned",
-                t=self.now_s,
+                t=now,
                 category="serve",
                 size=plan.size,
                 depth=plan.depth,
@@ -706,6 +720,7 @@ class VerdictService:
         """
         size = len(batch)
         obs = get_observer()
+        stats = self._stats
         staged: list[tuple[ScoreRequest, VerdictResponse | None]] = []
         spans: list[Any] = []
         live: list[tuple[int, float, str | None]] = []
@@ -715,7 +730,12 @@ class VerdictService:
         # per batch instead of paying a timer pair per request.
         with obs.profile("serve"):
             for request in batch:
-                started = self.now_s
+                # Re-read per request: the previous one's cache hit or
+                # crawl debited the clock.
+                started = stats.elapsed_s
+                if not obs.enabled:
+                    self._stage(request, started, obs, staged, live, records)
+                    continue
                 # The span closes at the end of this stage; batched
                 # responses finish together later, so the span's end
                 # time and outcome attrs are patched in below
@@ -729,33 +749,17 @@ class VerdictService:
                     priority=request.priority,
                 ) as span:
                     spans.append(span)
-                    if started > request.deadline_at:
-                        staged.append(
-                            (request, self._expired(request, started))
-                        )
-                        continue
-                    if request.internal:
-                        records.append(self._crawl_request(request))
-                        live.append((len(staged), started, None))
-                        staged.append((request, None))
-                        continue
-                    hit, cache_state = self._consult_cache(request, started)
-                    if hit is not None:
-                        staged.append((request, hit))
-                        continue
-                    records.append(self._crawl_request(request))
-                    live.append((len(staged), started, cache_state))
-                    staged.append((request, None))
+                    self._stage(request, started, obs, staged, live, records)
         if live:
             if overlap:
-                start = self.now_s
+                start = stats.elapsed_s
                 if self._score_busy_until > start:
                     start = self._score_busy_until
                 finish = start + self.config.score_cost_s
                 self._score_busy_until = finish
             else:
-                self.stats.add_service(self.config.score_cost_s)
-                finish = self.now_s
+                stats.add_service(self.config.score_cost_s)
+                finish = stats.elapsed_s
             with obs.profile("score"), obs.profile("serve.score"):
                 scored = self._score_live_batch(staged, live, records)
             if obs.enabled:
@@ -781,15 +785,42 @@ class VerdictService:
                             margin=margin, finished=finish,
                         )
                     staged[index] = (request, response)
-        results: list[tuple[ScoreRequest, VerdictResponse]] = []
-        for (request, response), span in zip(staged, spans):
-            assert response is not None
+        for _, response in staged:
             response.batch_size = size
-            if obs.enabled:
+        if obs.enabled:
+            for (_, response), span in zip(staged, spans):
                 self._note_response(obs, span, response)
                 span.note(batch_size=size)
-            results.append((request, response))
-        return results
+        return staged
+
+    def _stage(
+        self,
+        request: ScoreRequest,
+        started: float,
+        obs,
+        staged: list[tuple[ScoreRequest, VerdictResponse | None]],
+        live: list[tuple[int, float, str | None]],
+        records: list[CrawlRecord],
+    ) -> None:
+        """Answer one drained request now, or crawl it for the batch.
+
+        Expired requests and cache hits are answered on the spot;
+        refreshes and cache misses are crawled here and left as
+        ``None`` in *staged* for the batch's one scoring pass.
+        """
+        if started > request.deadline_at:
+            staged.append((request, self._expired(request, started)))
+            return
+        if request.internal:
+            cache_state = None
+        else:
+            hit, cache_state = self._consult_cache(request, started, obs)
+            if hit is not None:
+                staged.append((request, hit))
+                return
+        records.append(self._crawl_request(request))
+        live.append((len(staged), started, cache_state))
+        staged.append((request, None))
 
     def _expired(self, request: ScoreRequest, now: float) -> VerdictResponse:
         if request.internal:
@@ -829,7 +860,7 @@ class VerdictService:
                 app_id=app_id,
             )
             obs.count("cache_refreshes_scheduled_total")
-        self._admit(refresh)
+        self._admit(refresh, now)
 
     def _from_cache(
         self,
@@ -840,7 +871,8 @@ class VerdictService:
         cache_state: str,
         reason: str,
     ) -> VerdictResponse:
-        self.stats.add_service(self.config.cache_hit_cost_s)
+        stats = self._stats
+        stats.add_service(self.config.cache_hit_cost_s)
         return VerdictResponse(
             app_id=request.app_id,
             outcome=SERVED,
@@ -854,7 +886,7 @@ class VerdictService:
             cache_state=cache_state,
             arrival_s=request.arrival_s,
             started_s=started,
-            finished_s=self.now_s,
+            finished_s=stats.elapsed_s,
             model_version=entry.model_version,
         )
 

@@ -1,9 +1,17 @@
 """Tests for the paper-constant registry and scale configuration."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.config import PAPER, ScaleConfig
+from repro.cli import main
+from repro.config import PAPER, ConfigValueError, ScaleConfig, ServiceConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_paper_dataset_hierarchy_is_consistent():
@@ -38,6 +46,58 @@ def test_scale_rejects_out_of_range():
         ScaleConfig(scale=0.0)
     with pytest.raises(ValueError):
         ScaleConfig(scale=1.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ScaleConfig(fault_rate=1.5),
+    lambda: ScaleConfig(retry_budget=0),
+    lambda: ScaleConfig(blackouts=-1),
+    lambda: ServiceConfig(batch_max=0),
+    lambda: ServiceConfig(max_queue_depth=0),
+    lambda: ServiceConfig(cache_ttl_s=0.0),
+])
+def test_range_checks_raise_the_typed_error(make):
+    with pytest.raises(ConfigValueError):
+        make()
+    assert issubclass(ConfigValueError, ValueError)
+
+
+#: out-of-range flags; the global ones go before the subcommand
+BAD_FLAGS = [
+    ["--fault-rate", "1.5", "simulate"],
+    ["--scale", "0", "simulate"],
+    ["--retry-budget", "0", "simulate"],
+    ["--blackouts", "-1", "simulate"],
+    ["--scale", "0.01", "serve", "--batch-max", "0"],
+    ["--scale", "0.01", "serve", "--queue-depth", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_FLAGS, ids=lambda argv: " ".join(argv))
+def test_cli_out_of_range_flag_is_one_line_error(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("repro: error: "), lines
+
+
+@pytest.mark.parametrize("flag", ["--batch-max", "--queue-depth"])
+def test_cli_serve_checks_its_flags_before_building_a_world(
+    monkeypatch, capsys, flag
+):
+    from repro.core import pipeline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline ran before the flags were checked")
+
+    monkeypatch.setattr(pipeline.FrappePipeline, "run", refuse)
+    assert main(["--scale", "0.01", "serve", flag, "0"]) == 2
+    assert capsys.readouterr().err.startswith("repro: error: ")
 
 
 def test_scale_full_is_paper_scale():
