@@ -436,11 +436,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
     from repro.core.pipeline import FrappePipeline
     from repro.core.watchdog import AppWatchdog
-    from repro.crawler.crawler import AppCrawler
+    from repro.crawler.crawler import make_crawler
 
     result = FrappePipeline(_config(args)).run(sweep_unlabelled=False)
     watchdog = AppWatchdog(
-        result.classifier, result.extractor, AppCrawler(result.world)
+        result.classifier, result.extractor, make_crawler(result.world)
     )
     app_ids = list(args.app_ids)
     if not app_ids:
@@ -693,12 +693,18 @@ def _cmd_forensics(args: argparse.Namespace) -> int:
 def _cmd_monitor(args: argparse.Namespace) -> int:
     """Run the continuous monitoring daemon over D-Sample.
 
-    With ``--checkpoint DIR`` every observation and epoch plan is a
-    checksummed, fsynced journal line: kill the daemon anywhere and a
-    ``--resume`` run continues to a byte-identical history store.
-    ``--blackouts`` adds sustained platform outages the tier scheduler
-    must pause through instead of burning retry budgets.
+    Every observation and epoch plan is a checksummed, fsynced journal
+    line.  With ``--checkpoint DIR`` the journal lives in DIR: kill the
+    daemon anywhere and a ``--resume`` run continues to a byte-identical
+    history store.  Without it the journal lives in a temporary
+    directory for the length of the run, so the run prints the same
+    report, can fork ``--supervised`` workers and feeds ``--store`` the
+    same way.  ``--blackouts`` adds sustained platform outages the tier
+    scheduler must pause through instead of burning retry budgets.
     """
+    import contextlib
+    import tempfile
+
     from repro.crawler.crawler import make_crawler
     from repro.crawler.datasets import DatasetBuilder
     from repro.crawler.monitor import AppMonitor, MonitorConfig, MonitorJournal
@@ -714,79 +720,77 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     ).scan()
     bundle = DatasetBuilder(world, report).build(crawl=False)
     crawler = make_crawler(world)
-    journal = None
-    if config.checkpoint_dir:
-        journal = MonitorJournal(config.checkpoint_dir, resume=config.resume)
-        print(
-            f"history:    {config.checkpoint_dir} "
-            f"({len(journal.entries)} durable entries"
-            + (f", {journal.quarantined} quarantined" if journal.quarantined
-               else "") + ")",
-            file=sys.stderr,
-        )
     if args.policy == "active-learning":
         scheduler = RecrawlScheduler(policy=ActiveLearningPolicy())
     else:
         scheduler = RecrawlScheduler()
-    monitor = AppMonitor(
-        world,
-        crawler,
-        bundle.d_sample,
-        config=MonitorConfig(
-            epochs=args.epochs,
-            stride_days=args.stride_days,
-            forensics=args.forensics,
-            lifecycle=args.lifecycle,
-        ),
-        scheduler=scheduler,
-        journal=journal,
-    )
-    try:
-        result = monitor.run(supervised=args.supervised)
-    finally:
-        if journal is not None:
-            journal.close()
-    stats = crawler.stats
-    print(f"monitored {len(bundle.d_sample)} apps for "
-          f"{result.epochs_run} epochs (stride {args.stride_days}d, "
-          f"policy {args.policy}, fault_rate={config.fault_rate}, "
-          f"blackouts={config.blackouts})")
-    print(f"history:    {result.observations} durable observations"
-          + (f", {result.quarantined} quarantined" if result.quarantined
-             else ""))
-    census = ", ".join(
-        f"{tier}={n}" for tier, n in result.tier_census.items() if n
-    )
-    print(f"tiers:      {census or 'none'}")
-    if result.pauses:
-        print(f"backpressure: {result.pauses} blackout pauses "
-              f"(tiers re-planned instead of retrying into the outage)")
-    if result.forensic_events:
-        kinds: dict[str, int] = {}
-        for event in result.forensic_events:
-            kinds[event.kind] = kinds.get(event.kind, 0) + 1
-        mix = ", ".join(f"{k}={n}" for k, n in sorted(kinds.items()))
-        print(f"forensics:  {len(result.forensic_events)} events ({mix})")
-        for event in result.forensic_events[:8]:
-            print(f"  e{event.epoch} {event.app_id}: {event.kind} "
-                  f"({event.detail})")
-    print(f"crawl time: {stats.elapsed_s / 3600:.1f} simulated hours "
-          f"({stats.service_s / 3600:.1f}h service, "
-          f"{stats.wait_s / 3600:.1f}h waiting)")
-    store = _open_store(args)
-    if store is not None:
-        if journal is None:
+    with contextlib.ExitStack() as stack:
+        directory = config.checkpoint_dir or stack.enter_context(
+            tempfile.TemporaryDirectory(prefix="repro-monitor-")
+        )
+        journal = stack.enter_context(
+            MonitorJournal(directory, resume=config.resume)
+        )
+        if config.checkpoint_dir:
             print(
-                "store:      --store needs the durable history: pass "
-                "--checkpoint DIR so there is a monitor.jsonl to ingest",
+                f"history:    {directory} "
+                f"({len(journal.entries)} durable entries"
+                + (f", {journal.quarantined} quarantined"
+                   if journal.quarantined else "") + ")",
                 file=sys.stderr,
             )
-        else:
+        monitor = AppMonitor(
+            world,
+            crawler,
+            bundle.d_sample,
+            journal=journal,
+            config=MonitorConfig(
+                epochs=args.epochs,
+                stride_days=args.stride_days,
+                forensics=args.forensics,
+                lifecycle=args.lifecycle,
+            ),
+            scheduler=scheduler,
+        )
+        try:
+            result = monitor.run(supervised=args.supervised)
+        finally:
+            # A supervised run re-opens the journal after each worker.
+            monitor.journal.close()
+        stats = crawler.stats
+        print(f"monitored {len(bundle.d_sample)} apps for "
+              f"{result.epochs_run} epochs (stride {args.stride_days}d, "
+              f"policy {args.policy}, fault_rate={config.fault_rate}, "
+              f"blackouts={config.blackouts})")
+        print(f"history:    {result.observations} durable observations"
+              + (f", {result.quarantined} quarantined" if result.quarantined
+                 else ""))
+        census = ", ".join(
+            f"{tier}={n}" for tier, n in result.tier_census.items() if n
+        )
+        print(f"tiers:      {census or 'none'}")
+        if result.pauses:
+            print(f"backpressure: {result.pauses} blackout pauses "
+                  f"(tiers re-planned instead of retrying into the outage)")
+        if result.forensic_events:
+            kinds: dict[str, int] = {}
+            for event in result.forensic_events:
+                kinds[event.kind] = kinds.get(event.kind, 0) + 1
+            mix = ", ".join(f"{k}={n}" for k, n in sorted(kinds.items()))
+            print(f"forensics:  {len(result.forensic_events)} events ({mix})")
+            for event in result.forensic_events[:8]:
+                print(f"  e{event.epoch} {event.app_id}: {event.kind} "
+                      f"({event.detail})")
+        print(f"crawl time: {stats.elapsed_s / 3600:.1f} simulated hours "
+              f"({stats.service_s / 3600:.1f}h service, "
+              f"{stats.wait_s / 3600:.1f}h waiting)")
+        store = _open_store(args)
+        if store is not None:
             from repro.store import ingest_monitor_history
 
             with store:
                 ingested = ingest_monitor_history(
-                    store, config.checkpoint_dir,
+                    store, directory,
                     label=f"monitor seed={config.master_seed} "
                           f"epochs={args.epochs}",
                 )

@@ -10,8 +10,8 @@ expensive steps run once per configuration.
 
 All crawling goes through one transport built from the configuration
 (:func:`~repro.crawler.crawler.make_crawler`): with
-``ScaleConfig.fault_rate == 0`` that is the fault-free direct transport
-and the study is exactly the paper's; with a positive rate the crawler
+``ScaleConfig.fault_rate == 0`` its fault plan injects nothing and the
+study is exactly the paper's; with a positive rate the crawler
 fights injected rate limits, 5xx errors, timeouts, truncated feeds, and
 mid-crawl deletions, and the classification of records it could not
 fully recover degrades through the :class:`FrappeCascade` tiers.

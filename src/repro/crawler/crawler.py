@@ -41,7 +41,6 @@ from repro.crawler.resilience import (
 from repro.durable import check_fingerprint
 from repro.obs.observer import get_observer
 from repro.platform.transport import (
-    DirectTransport,
     FaultPlan,
     FaultyTransport,
     TransportStats,
@@ -140,21 +139,23 @@ class CrawlRecord:
 class AppCrawler:
     """Crawls app IDs against the simulated platform, resiliently.
 
-    With the default :class:`DirectTransport` no transient fault can
-    occur, every collection succeeds or fails authoritatively on the
-    first attempt, and the records are identical to a crawler with no
-    resilience layer at all.
+    The default transport is a :class:`FaultyTransport` under the
+    default ``FaultPlan()``, which injects nothing: no transient fault
+    can occur, every collection succeeds or fails authoritatively on
+    the first attempt, and the records are identical to a crawler with
+    no resilience layer at all.  :func:`make_crawler` builds the
+    transport the world's configuration asks for.
     """
 
     def __init__(
         self,
         world: "SimulatedWorld",
-        transport: DirectTransport | FaultyTransport | None = None,
+        transport: FaultyTransport | None = None,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
         self._world = world
-        self._transport = transport or DirectTransport(
-            world.graph_api, world.installer
+        self._transport = transport or FaultyTransport(
+            world.graph_api, world.installer, FaultPlan()
         )
         self._policy = retry_policy or RetryPolicy()
         self._executor = ResilientExecutor(
@@ -169,7 +170,7 @@ class AppCrawler:
         return self._transport.stats
 
     @property
-    def transport(self) -> DirectTransport | FaultyTransport:
+    def transport(self) -> FaultyTransport:
         """The transport under this crawler (shared with the service)."""
         return self._transport
 
@@ -340,14 +341,15 @@ class AppCrawler:
     def checkpoint_fingerprint(self) -> dict:
         """What a checkpoint must match before this crawler resumes it.
 
-        Seed, scale, transport kind, fault plan, and retry policy — the
-        knobs that change what an identical crawl would observe.
+        Seed, scale, fault plan, and retry policy — the knobs that
+        change what an identical crawl would observe.
         """
         config = self._world.config
+        plan = self._transport.plan
         fingerprint: dict = {
             "master_seed": config.master_seed,
             "scale": config.scale,
-            "transport": type(self._transport).__name__,
+            "fault_plan": {"fault_rate": plan.fault_rate, "seed": plan.seed},
             "retry_policy": {
                 "max_attempts": self._policy.max_attempts,
                 "base_delay_s": self._policy.base_delay_s,
@@ -355,18 +357,12 @@ class AppCrawler:
                 "per_app_deadline_s": self._policy.per_app_deadline_s,
             },
         }
-        plan = getattr(self._transport, "plan", None)
-        if plan is not None:
-            fingerprint["fault_plan"] = {
-                "fault_rate": plan.fault_rate,
-                "seed": plan.seed,
-            }
-            if plan.blackout_windows:
-                # Lists, not tuples: the stored fingerprint round-trips
-                # through JSON and must compare equal afterwards.
-                fingerprint["fault_plan"]["blackout_windows"] = [
-                    [start, end] for start, end in plan.blackout_windows
-                ]
+        if plan.blackout_windows:
+            # Lists, not tuples: the stored fingerprint round-trips
+            # through JSON and must compare equal afterwards.
+            fingerprint["fault_plan"]["blackout_windows"] = [
+                [start, end] for start, end in plan.blackout_windows
+            ]
         return fingerprint
 
     # -- individual collections ------------------------------------------
@@ -480,21 +476,19 @@ def recovery_rate(records: dict[str, CrawlRecord]) -> float | None:
 def make_crawler(world: "SimulatedWorld") -> AppCrawler:
     """Build the crawler the world's :class:`ScaleConfig` asks for.
 
-    ``fault_rate == 0`` wires the fault-free :class:`DirectTransport`
-    (the strict no-op path); a positive rate wires a
-    :class:`FaultyTransport` whose plan is seeded from the master seed,
-    so the whole faulted study stays a pure function of the seed.
+    Its :class:`FaultyTransport` runs a plan seeded from the master
+    seed with the configured fault rate and blackout windows, so the
+    whole faulted study stays a pure function of the seed.  At
+    ``fault_rate == 0`` with no blackouts the plan injects nothing and
+    the crawl is the paper's fault-free one.
     """
     config = world.config
     policy = RetryPolicy(max_attempts=config.retry_budget)
-    blackouts = getattr(config, "blackouts", 0)
-    if config.fault_rate <= 0.0 and not blackouts:
-        return AppCrawler(world, retry_policy=policy)
     plan = FaultPlan(
         fault_rate=config.fault_rate,
         seed=derive_seed(config.master_seed, "fault-plan"),
         blackout_windows=draw_blackout_windows(
-            derive_seed(config.master_seed, "blackout-plan"), blackouts
+            derive_seed(config.master_seed, "blackout-plan"), config.blackouts
         ),
     )
     transport = FaultyTransport(world.graph_api, world.installer, plan)

@@ -4,11 +4,11 @@ FRAppE's conclusion frames the system as "an independent watchdog for
 app assessment and ranking"; this module is that watchdog's engine.
 Instead of one-shot crawls it runs *epochs*: every epoch shifts the
 crawl calendar forward by a stride, re-crawls the apps the tiered
-scheduler (:mod:`repro.crawler.recrawl`) says are due, scores them,
-diffs each observation against the app's history, and records the
-*forensic events* only a long-running monitor can see — deletion,
-rename, permission change, post-rate collapse (Kagan et al.,
-arXiv:1309.4067).
+scheduler (:mod:`repro.crawler.recrawl`) says are due, ranks them on
+the suspicion ladder, diffs each observation against the app's
+history, and records the *forensic events* only a long-running
+monitor can see — deletion, rename, permission change, post-rate
+collapse (Kagan et al., arXiv:1309.4067).
 
 Robustness is the contract, not a feature:
 
@@ -24,10 +24,10 @@ Robustness is the contract, not a feature:
   resumes to a byte-identical history store and schedule.
 * **Blackout backpressure.**  Before dispatching an app the monitor
   polls the transport for an active blackout window
-  (:meth:`FaultyTransport.active_blackout`); inside one it *pauses* —
-  jumps the simulated clock to the window's end and counts a
-  scheduler-level pause — instead of crawling into the outage and
-  burning retry budgets and breaker state.
+  (:meth:`~repro.platform.transport.FaultyTransport.active_blackout`);
+  inside one it *pauses* — jumps the simulated clock to the window's
+  end and counts a scheduler-level pause — instead of crawling into
+  the outage and burning retry budgets and breaker state.
 * **Quarantine, never halt.**  Besides the :mod:`repro.durable`
   torn-tail and corruption policy, contradictory history entries
   (conflicting duplicates, observations that resurrect an app after a
@@ -53,7 +53,7 @@ import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro.crawler.checkpoint import record_from_jsonable, record_to_jsonable
 from repro.crawler.crawler import AppCrawler, CrawlRecord
@@ -73,10 +73,6 @@ from repro.durable import (
 )
 from repro.ecosystem.app_lifecycle import LifecycleScript
 from repro.obs.observer import get_observer
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.watchdog import AppWatchdog
-    from repro.service.cache import VerdictCache
 
 __all__ = [
     "MONITOR_CHAOS_ENV",
@@ -169,7 +165,8 @@ class MonitorJournal:
     final line — and the loop continues without it.  An identical
     duplicate is dropped.
 
-    Lines are format ``v`` 2: only an epoch's plan line and its last
+    Lines are format ``v`` 3: an observation line holds the record and
+    its forensic events, and only an epoch's plan line and its last
     planned observation carry ``state`` (crawler, scheduler, and the
     epoch cursor — the epoch for the plan line, the next one for the
     last observation).  A journal holding any other version is refused
@@ -178,7 +175,7 @@ class MonitorJournal:
 
     JOURNAL_NAME = "monitor.jsonl"
     META_NAME = "meta.json"
-    FORMAT_VERSION = 2
+    FORMAT_VERSION = 3
     #: app_id of a journaled epoch dispatch plan
     PLAN_SENTINEL = "__plan__"
 
@@ -413,7 +410,6 @@ class MonitorJournal:
         self,
         epoch: int,
         record: CrawlRecord,
-        assessment: dict | None,
         events: list[ForensicEvent],
         state: dict | None = None,
     ) -> None:
@@ -422,16 +418,13 @@ class MonitorJournal:
         *state* is the epoch's end state, given only with the epoch's
         last planned observation.
         """
-        self._append(
-            self.observation_line(epoch, record, assessment, events, state)
-        )
+        self._append(self.observation_line(epoch, record, events, state))
 
     @classmethod
     def observation_line(
         cls,
         epoch: int,
         record: CrawlRecord,
-        assessment: dict | None,
         events: list[ForensicEvent],
         state: dict | None = None,
     ) -> dict:
@@ -441,7 +434,6 @@ class MonitorJournal:
             "app_id": record.app_id,
             "epoch": epoch,
             "record": record_to_jsonable(record),
-            "assessment": assessment,
             "events": [e.jsonable() for e in events],
         }
         if state is not None:
@@ -463,13 +455,12 @@ class MonitorJournal:
 class AppMonitor:
     """Epoch loop: shift the calendar, recrawl the due set, diff history.
 
-    One instance owns a crawler, a :class:`RecrawlScheduler`, an
-    optional :class:`MonitorJournal`, and optionally a trained
-    :class:`~repro.core.watchdog.AppWatchdog` (suspicion scores) and a
-    :class:`~repro.service.cache.VerdictCache` (forensic events evict
-    cached verdicts).  The state needed to continue rides on each
-    epoch's plan line and last planned observation;
-    :meth:`run` resumes transparently from whatever is durable.
+    One instance owns a crawler, a :class:`RecrawlScheduler` and a
+    :class:`MonitorJournal`; every observation goes through the journal,
+    so a run's report, records and dataset are read back from it.  The
+    state needed to continue rides on each epoch's plan line and last
+    planned observation; :meth:`run` resumes transparently from
+    whatever is durable.
     """
 
     def __init__(
@@ -477,11 +468,9 @@ class AppMonitor:
         world,
         crawler: AppCrawler,
         app_ids,
+        journal: MonitorJournal,
         config: MonitorConfig | None = None,
         scheduler: RecrawlScheduler | None = None,
-        journal: MonitorJournal | None = None,
-        watchdog: "AppWatchdog | None" = None,
-        verdict_cache: "VerdictCache | None" = None,
     ) -> None:
         self._world = world
         self._crawler = crawler
@@ -489,8 +478,6 @@ class AppMonitor:
         self.config = config or MonitorConfig()
         self.scheduler = scheduler or RecrawlScheduler()
         self._journal = journal
-        self._watchdog = watchdog
-        self._verdict_cache = verdict_cache
         self._base_schedule = world.schedule
         self._lifecycle: LifecycleScript | None = None
         if self.config.lifecycle:
@@ -503,11 +490,10 @@ class AppMonitor:
         self._next_epoch = 0
         #: forensic tallies per app (feeds FeatureExtractor.set_forensics)
         self.forensic_tallies: dict[str, dict[str, int]] = {}
-        if self._journal is not None:
-            check_fingerprint(
-                self._journal.meta_path, self.fingerprint(), "monitor history"
-            )
-            self._restore_from_journal()
+        check_fingerprint(
+            journal.meta_path, self.fingerprint(), "monitor history"
+        )
+        self._restore_from_journal()
 
     # -- identity ----------------------------------------------------------
 
@@ -544,15 +530,13 @@ class AppMonitor:
 
     def resync_from_journal(self) -> None:
         """Reload everything from disk (after a forked worker appended)."""
-        if self._journal is None:
-            raise RuntimeError("resync requires a journal")
         directory = self._journal.directory
         self._journal.close()
         self._journal = MonitorJournal(directory)
         self._restore_from_journal()
 
     @property
-    def journal(self) -> MonitorJournal | None:
+    def journal(self) -> MonitorJournal:
         return self._journal
 
     # -- epoch mechanics ---------------------------------------------------
@@ -568,7 +552,7 @@ class AppMonitor:
         )
 
     def _epoch_day(self, epoch: int) -> int:
-        """The epoch's assessment day (its last collection day)."""
+        """The epoch's last collection day (lifecycle events apply to it)."""
         return self._base_schedule.inst_crawl_day \
             + epoch * self.config.stride_days
 
@@ -580,25 +564,21 @@ class AppMonitor:
             "epoch": cursor,
         }
 
-    def _suspicion(self, record: CrawlRecord, epoch: int) -> tuple[float, dict | None]:
-        if self._watchdog is not None:
-            assessment = self._watchdog.assess_record(
-                record, day=self._epoch_day(epoch)
-            )
-            return assessment.risk_score, {
-                "risk_score": assessment.risk_score,
-                "confidence": assessment.confidence,
-            }
-        # No trained classifier attached: a deterministic stand-in so
-        # the ladder still moves.  Removed apps are the paper's prime
-        # suspects; a client-ID mismatch is near-certain malice.
+    @staticmethod
+    def _suspicion(record: CrawlRecord) -> float:
+        """The record's rung on the suspicion ladder.
+
+        A deterministic rule, not a trained classifier: removed apps are
+        the paper's prime suspects; a client-ID mismatch is near-certain
+        malice.
+        """
         score = 50.0
         summary = record.outcomes.get("summary")
         if summary is not None and summary.status == PERMANENT:
             score = 75.0
         if record.client_id_mismatch is True:
             score = 90.0
-        return score, None
+        return score
 
     def _diff(
         self, previous: CrawlRecord | None, record: CrawlRecord, epoch: int
@@ -664,12 +644,6 @@ class AppMonitor:
                     epoch=event.epoch,
                 )
                 obs.count("monitor_forensic_events_total", kind=event.kind)
-            if self._verdict_cache is not None:
-                self._verdict_cache.invalidate_forensic(
-                    event.app_id,
-                    reason=event.kind,
-                    now_s=self._crawler.stats.elapsed_s,
-                )
 
     def _pause_for_blackout(self, window: tuple[float, float], epoch: int) -> None:
         """Scheduler-level backpressure: sleep the window out, once.
@@ -718,7 +692,7 @@ class AppMonitor:
         *heartbeat* is called after each fresh durable observation — the
         supervised runner's liveness signal.
         """
-        if self._journal is not None and epoch < self._next_epoch:
+        if epoch < self._next_epoch:
             return 0
         obs = get_observer()
         self._world.schedule = self._epoch_schedule(epoch)
@@ -726,55 +700,37 @@ class AppMonitor:
             self._lifecycle.apply_until(self._world, self._epoch_day(epoch))
         self.scheduler.ensure(self._app_ids)
         journal = self._journal
-        if journal is not None:
-            previous_records = journal.latest_records(before=epoch)
-            plan = journal.plan_for(epoch)
-            if plan is None:
-                plan = self.scheduler.plan(epoch)
-                journal.append_plan(epoch, plan, self._snapshot(epoch))
-        else:
-            previous_records = {}
+        previous_records = journal.latest_records(before=epoch)
+        plan = journal.plan_for(epoch)
+        if plan is None:
             plan = self.scheduler.plan(epoch)
+            journal.append_plan(epoch, plan, self._snapshot(epoch))
         last = plan[-1] if plan else None
         fresh = 0
-        span_ctx = span = None
-        if obs.enabled:
-            span_ctx = obs.span(
-                "monitor.epoch",
-                key=str(epoch),
-                category="monitor",
-                t=self._crawler.stats.elapsed_s,
-            )
-            span = span_ctx.__enter__()
-        try:
+        stats = self._crawler.stats
+        transport = self._crawler.transport
+        with obs.span(
+            "monitor.epoch", key=str(epoch), category="monitor",
+            t=stats.elapsed_s,
+        ) as span:
             for app_id in plan:
-                durable = (
-                    journal.observation(epoch, app_id)
-                    if journal is not None else None
-                )
-                blackout = getattr(
-                    self._crawler.transport, "active_blackout", None
-                )
-                if blackout is not None:
-                    window = blackout()
-                    if window is not None:
-                        self._pause_for_blackout(window, epoch)
+                window = transport.active_blackout()
+                if window is not None:
+                    self._pause_for_blackout(window, epoch)
                 record = self._crawler.crawl_app(app_id)
-                suspicion, assessment = self._suspicion(record, epoch)
                 events = (
                     self._diff(previous_records.get(app_id), record, epoch)
                     if self.config.forensics else []
                 )
                 self.scheduler.observe(
-                    app_id, epoch, suspicion, forensic_hits=len(events)
+                    app_id, epoch, self._suspicion(record),
+                    forensic_hits=len(events),
                 )
-                state = (
-                    self._snapshot(epoch + 1)
-                    if journal is not None and app_id == last else None
-                )
+                state = self._snapshot(epoch + 1) if app_id == last else None
+                durable = journal.observation(epoch, app_id)
                 if durable is not None:
                     replayed = MonitorJournal.observation_line(
-                        epoch, record, assessment, events, state
+                        epoch, record, events, state
                     )
                     if canonical(replayed) != canonical(durable):
                         raise ReplayError(
@@ -785,28 +741,22 @@ class AppMonitor:
                         )
                     continue
                 self._on_events(events)
-                if journal is not None:
-                    journal.append_observation(
-                        epoch, record, assessment, events, state
+                journal.append_observation(epoch, record, events, state)
+                if obs.enabled:
+                    obs.event(
+                        "monitor.append",
+                        t=stats.elapsed_s,
+                        category="monitor",
+                        app_id=app_id,
+                        epoch=epoch,
+                        events=len(events),
                     )
-                    if obs.enabled:
-                        obs.event(
-                            "monitor.append",
-                            t=self._crawler.stats.elapsed_s,
-                            category="monitor",
-                            app_id=app_id,
-                            epoch=epoch,
-                            events=len(events),
-                        )
-                        obs.count("monitor_appends_total")
+                    obs.count("monitor_appends_total")
                 fresh += 1
                 if heartbeat is not None:
                     heartbeat(app_id, fresh)
-        finally:
-            if span_ctx is not None:
-                span.note(fresh=fresh, planned=len(plan))
-                span.end(self._crawler.stats.elapsed_s)
-                span_ctx.__exit__(None, None, None)
+            span.note(fresh=fresh, planned=len(plan))
+            span.end(stats.elapsed_s)
         if obs.enabled:
             obs.count("monitor_epochs_total")
             obs.gauge("monitor_epoch", float(epoch))
@@ -814,7 +764,7 @@ class AppMonitor:
         return fresh
 
     def run(self, supervised: bool = False) -> MonitorReport:
-        """Run every remaining epoch; resumes from the journal if present."""
+        """Run every remaining epoch; resumes from the journal."""
         runner = SupervisedEpochRunner(self) if supervised else None
         for epoch in range(self._next_epoch, self.config.epochs):
             if runner is not None:
@@ -827,30 +777,20 @@ class AppMonitor:
 
     def records(self) -> dict[str, CrawlRecord]:
         """Each app's highest-epoch observation (the living dataset)."""
-        if self._journal is not None:
-            return self._journal.latest_records()
-        return {}
+        return self._journal.latest_records()
 
     def report(self) -> MonitorReport:
-        events = (
-            self._journal.forensic_events() if self._journal is not None else []
-        )
-        observations = (
-            sum(
-                1 for e in self._journal.entries
-                if e["app_id"] != MonitorJournal.PLAN_SENTINEL
-            )
-            if self._journal is not None else 0
-        )
+        journal = self._journal
         return MonitorReport(
             epochs_run=self._next_epoch,
-            observations=observations,
-            forensic_events=events,
+            observations=sum(
+                1 for e in journal.entries
+                if e["app_id"] != MonitorJournal.PLAN_SENTINEL
+            ),
+            forensic_events=journal.forensic_events(),
             pauses=self.scheduler.pauses,
             tier_census=self.scheduler.tier_census(),
-            quarantined=(
-                self._journal.quarantined if self._journal is not None else 0
-            ),
+            quarantined=journal.quarantined,
         )
 
     def export_history_bytes(self) -> bytes:
@@ -859,13 +799,11 @@ class AppMonitor:
         This is what the kill-anywhere invariant compares: an
         interrupted-and-resumed run must produce these bytes exactly.
         """
-        if self._journal is None:
-            return canonical({"entries": []})
         return canonical({"entries": self._journal.entries})
 
     def export_dataset_bytes(self) -> bytes:
         """Canonical bytes of the latest record per app (the dataset)."""
-        latest = self._journal.latest_jsonable() if self._journal else {}
+        latest = self._journal.latest_jsonable()
         return canonical({
             "records": [latest[app_id] for app_id in sorted(latest)]
         })
@@ -945,9 +883,8 @@ class SupervisedEpochRunner:
     is restarted with exponential backoff, at most ``max_restarts``
     times; after that the epoch runs *inline* in the parent — which
     always succeeds at making progress, because every durable
-    observation survives every rung.  Without a journal there is
-    nothing for a worker to persist, so supervision degrades to inline
-    execution directly.
+    observation survives every rung.  Where the platform cannot fork,
+    every epoch runs inline.
     """
 
     def __init__(
@@ -974,10 +911,7 @@ class SupervisedEpochRunner:
     def run_epoch(self, epoch: int) -> None:
         import multiprocessing
 
-        if (
-            self._monitor.journal is None
-            or "fork" not in multiprocessing.get_all_start_methods()
-        ):
+        if "fork" not in multiprocessing.get_all_start_methods():
             self.inline_fallbacks += 1
             self._monitor.run_epoch(epoch)
             return

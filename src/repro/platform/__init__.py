@@ -27,7 +27,6 @@ from repro.platform.install import InstallPrompt, InstallationService
 from repro.platform.graph_api import GraphApi, GraphApiError
 from repro.platform.moderation import ModerationEngine
 from repro.platform.transport import (
-    DirectTransport,
     FaultPlan,
     FaultyTransport,
     RateLimitError,
@@ -58,7 +57,6 @@ __all__ = [
     "RateLimitError",
     "TransientServerError",
     "RequestTimeoutError",
-    "DirectTransport",
     "FaultyTransport",
     "FaultPlan",
     "TransportStats",

@@ -4,25 +4,26 @@ The paper's nine-month crawl was defined by failure: rate limits,
 5xx responses, hung redirect chains, feeds cut short mid-pagination,
 and apps deleted between one weekly snapshot and the next.  This module
 models that reality as a *transport* layer between the crawler and the
-Graph API facade:
+Graph API facade.
 
-* :class:`DirectTransport` — the fault-free transport; every request
-  reaches the platform and only *authoritative* errors (app removed)
-  come back.  This is a strict no-op wrapper: with it, the crawler
-  behaves byte-for-byte as it would talking to the API directly.
-* :class:`FaultyTransport` — wraps the same endpoints but injects
-  transient faults from a deterministic, seeded :class:`FaultPlan`:
-  rate limits (with a retry-after hint), transient 5xx errors, timeouts,
-  truncated feed pages, and mid-crawl app deletion.
+There is one transport, :class:`FaultyTransport`.  It wraps the
+platform endpoints and injects transient faults from a deterministic,
+seeded :class:`FaultPlan`: rate limits (with a retry-after hint),
+transient 5xx errors, timeouts, truncated feed pages, mid-crawl app
+deletion, and platform-wide blackout windows.  A plan with
+``fault_rate=0`` and no windows injects nothing, so the fault-free
+crawl is the same transport with the default ``FaultPlan()``: every
+request reaches the platform and only *authoritative* errors (app
+removed) come back.
 
 Fault decisions are *stateless*: each is derived by hashing
 ``(seed, endpoint, app_id, call index)``, so the same plan replayed over
 the same crawl order injects exactly the same faults — retries and
 crawler refactors cannot perturb other apps' fault draws.
 
-Both transports account simulated latency in a shared
-:class:`TransportStats` clock, so benchmarks can measure what a fault
-rate *costs* in crawl time, not just in data loss.
+The transport accounts simulated latency in a :class:`TransportStats`
+clock, so benchmarks can measure what a fault rate *costs* in crawl
+time, not just in data loss.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "FaultPlan",
     "draw_blackout_windows",
     "TransportStats",
-    "DirectTransport",
     "FaultyTransport",
 ]
 
@@ -422,82 +422,15 @@ class TransportStats:
 # -- transports ------------------------------------------------------------
 
 
-class DirectTransport:
-    """The fault-free transport: requests always reach the platform.
-
-    Only authoritative errors (:class:`GraphApiError` /
-    :class:`AppRemovedError`, both meaning *app removed*) propagate.
-    Latency is still accounted so fault-free baselines have a crawl-cost
-    denominator.
-    """
-
-    def __init__(
-        self,
-        graph_api: GraphApi,
-        installer: InstallationService,
-        stats: TransportStats | None = None,
-        base_latency_s: float = 0.35,
-    ) -> None:
-        self._graph_api = graph_api
-        self._installer = installer
-        self._base_latency_s = base_latency_s
-        self.stats = stats or TransportStats()
-
-    def _account(self, endpoint: str, app_id: str) -> None:
-        self.stats.add_request()
-        self.stats.add_service(self._base_latency_s)
-        obs = get_observer()
-        if obs.enabled:
-            # Error-biased recording: successful calls are the hot path
-            # and already bounded by the enclosing crawl span (and the
-            # retry layer's ``retry.attempt`` events), so they keep
-            # aggregate metrics only — no per-call trace event.
-            obs.count("transport_requests_total", endpoint=endpoint)
-            obs.observe("transport_service_seconds", self._base_latency_s)
-
-    # -- checkpoint support -----------------------------------------------
-
-    def snapshot_state(self) -> dict[str, Any]:
-        """Everything needed to continue this transport deterministically.
-
-        Includes the installer's RNG state: the install URL of a
-        colluding app *draws* which sibling's client ID it hands out, so
-        a resumed crawl must continue that stream exactly where the
-        interrupted run left it.
-        """
-        return {
-            "stats": self.stats.snapshot(),
-            "installer_rng": self._installer.rng_state(),
-        }
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        self.stats.restore(state["stats"])
-        self._installer.restore_rng_state(state["installer_rng"])
-
-    def summary(self, app_id: str, day: int | None = None) -> dict[str, Any]:
-        self._account("summary", app_id)
-        return self._graph_api.summary(app_id, day=day)
-
-    def profile_feed(
-        self, app_id: str, day: int | None = None
-    ) -> list[dict[str, Any]]:
-        self._account("feed", app_id)
-        return self._graph_api.profile_feed(app_id, day=day)
-
-    def visit_install_url(
-        self, app_id: str, day: int | None = None
-    ) -> InstallPrompt:
-        self._account("install", app_id)
-        return self._installer.visit_install_url(app_id, day=day)
-
-
 class FaultyTransport:
-    """A transport that injects the faults a :class:`FaultPlan` dictates.
+    """The transport: injects the faults a :class:`FaultPlan` dictates.
 
-    Fault decisions happen *before* the underlying platform call, so an
-    injected fault consumes no platform randomness: the simulated world
-    observed through a faulty transport is the same world, just seen
-    through a lossy network.
+    Under the default ``FaultPlan()`` nothing is injected and the
+    transport only accounts each request's latency: the fault-free
+    crawl.  Fault decisions happen *before* the underlying platform
+    call, so an injected fault consumes no platform randomness: the
+    simulated world observed through a faulty transport is the same
+    world, just seen through a lossy network.
 
     A ``vanish`` fault models the app being deleted mid-crawl: from that
     request on, this transport answers every query about the app with
@@ -522,12 +455,16 @@ class FaultyTransport:
     # -- checkpoint support -----------------------------------------------
 
     def snapshot_state(self) -> dict[str, Any]:
-        """The faulty transport's full continuation state.
+        """The transport's full continuation state.
 
-        On top of the stats clock and installer RNG this captures the
+        The stats clock; the installer's RNG state (the install URL of a
+        colluding app *draws* which sibling's client ID it hands out, so
+        a resumed crawl must continue that stream exactly); the
         per-``(endpoint, app)`` call indexes (fault draws are a pure
-        function of them) and the vanished-app set, so a resumed crawl
-        replays exactly the fault plan the interrupted run was on.
+        function of them); and the vanished-app set.  So a resumed crawl
+        replays exactly the fault plan the interrupted run was on.  A
+        plan with ``fault_rate=0`` advances no call index and vanishes
+        no app, so both lists stay empty.
         """
         return {
             "stats": self.stats.snapshot(),
@@ -544,11 +481,11 @@ class FaultyTransport:
     def restore_state(self, state: dict[str, Any]) -> None:
         self.stats.restore(state["stats"])
         self._installer.restore_rng_state(state["installer_rng"])
-        self._vanished = set(state.get("vanished", []))
+        self._vanished = set(state["vanished"])
         self._call_index = Counter(
             {
                 (endpoint, app_id): int(count)
-                for endpoint, app_id, count in state.get("call_index", [])
+                for endpoint, app_id, count in state["call_index"]
             }
         )
 
@@ -593,7 +530,11 @@ class FaultyTransport:
             if obs.enabled:
                 self._note_request(obs, endpoint, app_id, "gone")
             raise GraphApiError(app_id)
-        fault = self.plan.draw(endpoint, app_id, self._next_index(endpoint, app_id))
+        fault = None
+        if not self.plan.disabled:
+            fault = self.plan.draw(
+                endpoint, app_id, self._next_index(endpoint, app_id)
+            )
         if fault is None:
             self.stats.add_service(self.plan.base_latency_s)
             if obs.enabled:

@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.observer import get_observer
-
 __all__ = ["CacheEntry", "VerdictCache", "FRESH", "STALE", "EXPIRED", "MISS"]
 
 FRESH = "fresh"
@@ -82,8 +80,6 @@ class VerdictCache:
         self.misses = 0
         #: entries dropped because they were scored by a retired model
         self.version_evictions = 0
-        #: entries dropped because the monitor observed a forensic event
-        self.forensic_evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -158,43 +154,6 @@ class VerdictCache:
         self._entries.pop(app_id, None)
         self._revalidating.discard(app_id)
 
-    def invalidate_forensic(
-        self, app_id: str, reason: str, now_s: float = 0.0
-    ) -> bool:
-        """Evict *app_id* because the monitor observed a forensic event.
-
-        A forensic event obsoletes whatever is cached for the app —
-        **whichever polarity the entry has**.  A detected PERMANENT
-        deletion in particular must drop a *positive* entry (the verdict
-        was computed against an app that no longer exists) *and* a
-        *negative* entry (it was stored before the deletion, under an
-        unrelated reason, and its long TTL would otherwise pin the
-        pre-event state for up to a day).  Any pending revalidation is
-        abandoned too — refreshing a verdict the event just obsoleted
-        would only re-cache stale evidence.
-
-        The eviction reason is stamped on the trace so an operator can
-        tell a forensic eviction from a TTL expiry or a model-version
-        flush.  Returns True iff an entry was actually dropped.
-        """
-        entry = self._entries.pop(app_id, None)
-        self._revalidating.discard(app_id)
-        if entry is None:
-            return False
-        self.forensic_evictions += 1
-        obs = get_observer()
-        if obs.enabled:
-            obs.event(
-                "cache.forensic_evict",
-                t=now_s,
-                category="service",
-                app_id=app_id,
-                reason=reason,
-                negative=entry.negative,
-            )
-            obs.count("cache_forensic_evictions_total", reason=reason)
-        return True
-
     def retain_version(self, model_version: int) -> int:
         """Flush every entry not scored by *model_version*.
 
@@ -249,6 +208,5 @@ class VerdictCache:
             "hits_stale": self.hits_stale,
             "misses": self.misses,
             "version_evictions": self.version_evictions,
-            "forensic_evictions": self.forensic_evictions,
             "hit_rate": self.hit_rate(),
         }

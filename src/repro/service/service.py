@@ -432,19 +432,6 @@ class VerdictService:
         self.drain()
         return response
 
-    def on_forensic_event(self, app_id: str, kind: str) -> bool:
-        """A monitor observed a lifecycle change: drop the cached verdict.
-
-        The continuous monitor (:mod:`repro.crawler.monitor`) calls this
-        for every forensic event it records.  Whatever the cache holds
-        for the app — positive or negative — was computed against
-        pre-event evidence, so it is evicted with the event kind stamped
-        on the trace.  Returns True iff an entry was dropped.
-        """
-        return self.cache.invalidate_forensic(
-            app_id, reason=kind, now_s=self.now_s
-        )
-
     def drain(self) -> None:
         """Process queued work (notably background refreshes) to empty."""
         while self.queue:

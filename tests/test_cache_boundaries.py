@@ -183,80 +183,3 @@ class TestServiceAtTheBoundary:
         assert [r.rung for r in report.responses] == [RUNG_STALE, RUNG_STALE]
         assert report.refreshes_done == 1
         assert report.refreshes_shed == 0
-
-
-class TestForensicInvalidation:
-    """A monitor-detected forensic event obsoletes whatever is cached."""
-
-    def test_deletion_evicts_a_positive_entry(self):
-        c = cache()
-        c.store(entry(), now_s=0.0)
-        assert c.invalidate_forensic("app", reason="deletion", now_s=5.0)
-        state, hit = c.lookup("app", now_s=5.0)
-        assert state == MISS and hit is None
-        assert c.forensic_evictions == 1
-
-    def test_deletion_evicts_a_negative_entry_too(self):
-        # A negative entry stored *before* the deletion (under an
-        # unrelated PERMANENT reason) would otherwise pin the pre-event
-        # state for up to negative_ttl_s — it must go as well.
-        c = cache()
-        c.store(entry(negative=True), now_s=0.0)
-        assert c.invalidate_forensic("app", reason="deletion", now_s=5.0)
-        state, hit = c.lookup("app", now_s=5.0)
-        assert state == MISS and hit is None
-        assert c.forensic_evictions == 1
-
-    def test_eviction_abandons_a_pending_revalidation(self):
-        c = cache()
-        c.store(entry(), now_s=0.0)
-        assert c.begin_revalidation("app")
-        c.invalidate_forensic("app", reason="permission_change", now_s=1.0)
-        # The marker is gone: a later refresh may be scheduled anew.
-        assert c.begin_revalidation("app")
-
-    def test_no_entry_is_a_noop(self):
-        c = cache()
-        assert not c.invalidate_forensic("ghost", reason="rename")
-        assert c.forensic_evictions == 0
-
-    def test_eviction_reason_stamped_on_the_trace(self, tmp_path):
-        from repro.obs import (
-            TracingObserver,
-            load_trace,
-            observation,
-            walk_events,
-        )
-
-        c = cache()
-        c.store(entry(), now_s=0.0)
-        c.store(entry("gone", negative=True), now_s=0.0)
-        observer = TracingObserver()
-        with observation(observer):
-            c.invalidate_forensic("app", reason="rename", now_s=7.0)
-            c.invalidate_forensic("gone", reason="deletion", now_s=8.0)
-        roots = load_trace(observer.tracer.export(tmp_path / "trace.jsonl"))
-        stamped = {
-            event["attrs"]["app_id"]: event["attrs"]
-            for _span, event in walk_events(roots)
-            if event["name"] == "cache.forensic_evict"
-        }
-        assert stamped["app"]["reason"] == "rename"
-        assert stamped["app"]["negative"] is False
-        assert stamped["gone"]["reason"] == "deletion"
-        assert stamped["gone"]["negative"] is True
-        assert (
-            observer.metrics.counter_value(
-                "cache_forensic_evictions_total", reason="deletion"
-            ) == 1.0
-        )
-
-    def test_service_surface_delegates_to_the_cache(self, clean_result):
-        service = make_service(clean_result, ServiceConfig())
-        app_id = sorted(clean_result.bundle.d_sample)[0]
-        service.cache.store(entry(app_id), now_s=service.now_s)
-        assert app_id in service.cache
-        assert service.on_forensic_event(app_id, "deletion")
-        assert app_id not in service.cache
-        assert service.cache.forensic_evictions == 1
-        assert not service.on_forensic_event(app_id, "deletion")

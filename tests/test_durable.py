@@ -120,9 +120,9 @@ def test_only_the_unterminated_tail_is_torn():
 
 def _entry(app_id: str) -> dict:
     return {
-        "v": 2, "app_id": app_id, "epoch": 0,
+        "v": 3, "app_id": app_id, "epoch": 0,
         "record": {"app_id": app_id, "summary_ok": True},
-        "assessment": None, "events": [], "state": {"epoch": 1},
+        "events": [], "state": {"epoch": 1},
     }
 
 

@@ -15,8 +15,8 @@ Pins the contracts ``repro monitor`` is built on:
   yields a byte-identical history store, schedule, and dataset;
 * corrupt or contradictory history lines quarantine to ``.corrupt``
   sidecars without halting;
-* journal lines are format v2 — state only on each epoch's plan line
-  and last observation — and a v1 journal is refused;
+* journal lines are format v3 — state only on each epoch's plan line
+  and last observation — and a journal of another version is refused;
 * the supervised epoch runner restarts killed/hung workers and falls
   back inline, preserving byte-identity throughout.
 """
@@ -366,7 +366,7 @@ class TestKillAnywhereResume:
 class TestJournalQuarantine:
     def payload(self, epoch, app_id, **extra):
         base = {
-            "v": 2,
+            "v": 3,
             "app_id": app_id,
             "epoch": epoch,
             "record": {"app_id": app_id, "summary_ok": True},
@@ -527,7 +527,8 @@ class TestJournalFormat:
                 (epoch, plan[-1], epoch + 1),
             ]
         assert carriers == expected
-        assert {e["v"] for e in journal.entries} == {2}
+        assert {e["v"] for e in journal.entries} == {3}
+        assert not any("assessment" in e for e in journal.entries)
 
 
 class TestSupervisedRunner:
@@ -678,26 +679,19 @@ class TestSupervisedRunner:
         assert runner.inline_fallbacks == 0
         assert monitor.export_history_bytes() == expected
 
-    def test_nonpositive_heartbeat_timeout_is_rejected(self, app_ids):
+    def test_nonpositive_heartbeat_timeout_is_rejected(
+        self, app_ids, tmp_path
+    ):
         world = build_world()
+        journal = MonitorJournal(tmp_path / "mon")
         monitor = AppMonitor(
             world, make_crawler(world), app_ids[:5],
-            config=MonitorConfig(epochs=1),
+            config=MonitorConfig(epochs=1), journal=journal,
         )
+        journal.close()
         for timeout in (0.0, -1.0):
             with pytest.raises(ValueError, match="heartbeat_timeout_s"):
                 SupervisedEpochRunner(monitor, heartbeat_timeout_s=timeout)
-
-    def test_no_journal_runs_inline_directly(self, app_ids):
-        world = build_world()
-        monitor = AppMonitor(
-            world, make_crawler(world), app_ids[:5],
-            config=MonitorConfig(epochs=1),
-        )
-        runner = SupervisedEpochRunner(monitor, chaos=("kill", 1))
-        runner.run_epoch(0)
-        assert runner.inline_fallbacks == 1
-        assert runner.restarts == 0
 
     def test_chaos_env_parsing(self, monkeypatch):
         from repro.crawler.monitor import MONITOR_CHAOS_ENV, _chaos_from_env
@@ -711,6 +705,65 @@ class TestSupervisedRunner:
             _chaos_from_env()
         monkeypatch.delenv(MONITOR_CHAOS_ENV)
         assert _chaos_from_env() is None
+
+
+class TestMonitorCli:
+    ARGS = [
+        "--scale", "0.01", "monitor", "--epochs", "2",
+        "--forensics", "--lifecycle",
+    ]
+
+    def test_run_without_checkpoint_journals_to_a_temporary_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """No --checkpoint still journals: the same report, forked
+        supervised workers, and a history for --store to ingest."""
+        import sqlite3
+
+        from repro.cli import main
+
+        assert main(["--checkpoint", str(tmp_path / "mon"), *self.ARGS]) == 0
+        checkpointed = capsys.readouterr().out
+        assert "durable observations" in checkpointed
+        assert " 0 durable observations" not in checkpointed
+
+        runners: list[SupervisedEpochRunner] = []
+        original = SupervisedEpochRunner.__init__
+
+        def init(runner, *args, **kwargs):
+            original(runner, *args, **kwargs)
+            runners.append(runner)
+
+        monkeypatch.setattr(SupervisedEpochRunner, "__init__", init)
+        store = tmp_path / "store.sqlite"
+        assert main(
+            ["--store", str(store), *self.ARGS, "--supervised"]
+        ) == 0
+        assert capsys.readouterr().out == checkpointed
+        [runner] = runners
+        assert runner.inline_fallbacks == 0
+        observations = int(
+            checkpointed.split("history:")[1].split()[0]
+        )
+        with sqlite3.connect(store) as db:
+            [(rows,)] = db.execute("SELECT COUNT(*) FROM observations")
+        assert rows == observations
+
+    def test_v2_history_refused_with_one_error_line(self, tmp_path, capsys):
+        from repro.cli import main
+
+        directory = tmp_path / "mon"
+        directory.mkdir()
+        (directory / MonitorJournal.JOURNAL_NAME).write_bytes(encode_line({
+            "v": 2, "app_id": "a", "epoch": 0, "assessment": None,
+            "record": {"app_id": "a", "summary_ok": True}, "events": [],
+        }))
+        assert main([
+            "--checkpoint", str(directory), "--resume", *self.ARGS
+        ]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("repro: error:")
+        assert "v2" in err[0] and "v3" in err[0]
 
 
 class TestForensicFeatureColumns:

@@ -363,7 +363,7 @@ def observation(epoch: int, app_id: str, alive: bool,
     return {
         "v": 1, "app_id": app_id, "epoch": epoch,
         "record": {"app_id": app_id, "summary_ok": alive},
-        "assessment": None, "events": events or [], "state": {},
+        "events": events or [], "state": {},
     }
 
 

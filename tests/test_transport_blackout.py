@@ -188,9 +188,13 @@ class TestConfigWiring:
             list(w) for w in windows
         ]
 
-    def test_blackouts_zero_keeps_the_direct_transport(self):
+    def test_blackouts_zero_draws_no_window(self):
         world = run_simulation(
             ScaleConfig(scale=0.01, master_seed=424242, fault_rate=0.0)
         )
         crawler = make_crawler(world)
-        assert not hasattr(crawler.transport, "plan")
+        assert crawler.transport.plan.blackout_windows == ()
+        assert crawler.transport.active_blackout() is None
+        assert "blackout_windows" not in (
+            crawler.checkpoint_fingerprint()["fault_plan"]
+        )

@@ -121,3 +121,28 @@ class TestCli:
         assert exit_code == 0
         records, labels, _ = load_dataset(output)
         assert records and len(records) == len(labels)
+
+    def test_evaluate_crawls_under_the_configured_faults(
+        self, capsys, monkeypatch
+    ):
+        """`evaluate` honours --fault-rate: its watchdog's crawler is the
+        one `make_crawler` builds, so it fights injected faults."""
+        import repro.core.watchdog as watchdog_module
+
+        crawlers = []
+
+        class Recording(watchdog_module.AppWatchdog):
+            def __init__(self, classifier, extractor, crawler, **kwargs):
+                super().__init__(classifier, extractor, crawler, **kwargs)
+                crawlers.append(crawler)
+
+        monkeypatch.setattr(watchdog_module, "AppWatchdog", Recording)
+        exit_code = main(
+            ["--scale", "0.01", "--fault-rate", "0.5", "evaluate"]
+        )
+        assert exit_code == 0
+        assert capsys.readouterr().out.strip()
+        [crawler] = crawlers
+        assert crawler.stats.requests > 0
+        assert crawler.stats.fault_count() > 0
+        assert crawler.transport.plan.fault_rate == 0.5
