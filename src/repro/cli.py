@@ -464,6 +464,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     from repro.crawler.checkpoint import CrawlJournal
     from repro.crawler.crawler import make_crawler
     from repro.crawler.datasets import DatasetBuilder
+    from repro.durable import check_fingerprint
     from repro.ecosystem.simulation import run_simulation
     from repro.mypagekeeper.classifier import UrlClassifier
     from repro.mypagekeeper.monitor import MyPageKeeper
@@ -478,12 +479,17 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     journal = None
     if config.checkpoint_dir:
         journal = CrawlJournal(config.checkpoint_dir, resume=config.resume)
-        print(
-            f"checkpoint: {config.checkpoint_dir} "
-            f"({len(journal)}/{len(bundle.d_sample)} apps already durable)",
-            file=sys.stderr,
-        )
     try:
+        if journal is not None:
+            # Refuse a foreign directory before saying anything about it.
+            check_fingerprint(
+                journal.meta_path, crawler.checkpoint_fingerprint(), "checkpoint"
+            )
+            print(
+                f"checkpoint: {config.checkpoint_dir} "
+                f"({len(journal)}/{len(bundle.d_sample)} apps already durable)",
+                file=sys.stderr,
+            )
         records = crawler.crawl_many(bundle.d_sample, journal=journal)
     finally:
         if journal is not None:
@@ -731,14 +737,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         journal = stack.enter_context(
             MonitorJournal(directory, resume=config.resume)
         )
-        if config.checkpoint_dir:
-            print(
-                f"history:    {directory} "
-                f"({len(journal.entries)} durable entries"
-                + (f", {journal.quarantined} quarantined"
-                   if journal.quarantined else "") + ")",
-                file=sys.stderr,
-            )
         monitor = AppMonitor(
             world,
             crawler,
@@ -752,6 +750,14 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             ),
             scheduler=scheduler,
         )
+        if config.checkpoint_dir:  # the fingerprint check has passed
+            print(
+                f"history:    {directory} "
+                f"({len(journal.entries)} durable entries"
+                + (f", {journal.quarantined} quarantined"
+                   if journal.quarantined else "") + ")",
+                file=sys.stderr,
+            )
         try:
             result = monitor.run(supervised=args.supervised)
         finally:

@@ -34,7 +34,6 @@ __all__ = [
     "ALL_FEATURES",
     "ROBUST_FEATURES",
     "SUMMARY_ONLY_FEATURES",
-    "FORENSIC_FEATURES",
     "TIER_FEATURES",
     "CONFIDENCE_BY_TIER",
     "classification_tier",
@@ -75,20 +74,6 @@ SUMMARY_ONLY_FEATURES: tuple[str, ...] = (
     "has_category",
     "has_company",
     "has_description",
-)
-
-#: Temporal-forensics columns produced by the continuous monitor
-#: (:mod:`repro.crawler.monitor`): per-app counts of observed lifecycle
-#: events.  **Not** part of :data:`ALL_FEATURES` — they only exist for
-#: apps with monitoring history, so the one-shot pipeline (and every
-#: seed artifact) is untouched unless a caller opts in via
-#: :meth:`FeatureExtractor.set_forensics`.
-FORENSIC_FEATURES: tuple[str, ...] = (
-    "forensic_event_count",
-    "forensic_deletion",
-    "forensic_rename",
-    "forensic_permission_change",
-    "forensic_post_collapse",
 )
 
 # -- degraded-crawl classification tiers -----------------------------------
@@ -161,46 +146,10 @@ class FeatureExtractor:
         self._malicious_names = malicious_names or Counter()
         self._known_malicious_ids = known_malicious_ids or set()
         self._id_to_name = id_to_name or {}
-        #: app_id -> {forensic event kind -> count}; None = forensics off
-        self._forensics: dict[str, dict[str, int]] | None = None
 
     def name_of(self, app_id: str) -> str | None:
         """Display name observed in post metadata (None if never seen)."""
         return self._id_to_name.get(app_id)
-
-    # -- temporal forensics (off unless a monitor opts in) -----------------
-
-    def set_forensics(
-        self, tallies: dict[str, dict[str, int]] | None
-    ) -> None:
-        """Attach monitor forensic tallies, enabling the forensic columns.
-
-        *tallies* is :attr:`AppMonitor.forensic_tallies
-        <repro.crawler.monitor.AppMonitor.forensic_tallies>` — per-app
-        counts of observed lifecycle events.  Passing ``None`` switches
-        the columns back off.  The default extraction feature sets never
-        include these columns, so calling this cannot perturb the seed
-        pipeline's vectors.
-        """
-        self._forensics = tallies
-
-    @property
-    def forensics_enabled(self) -> bool:
-        return self._forensics is not None
-
-    def feature_names(self, base: tuple[str, ...] = ALL_FEATURES) -> tuple[str, ...]:
-        """*base* plus the forensic columns when forensics are attached."""
-        if self._forensics is None:
-            return base
-        return base + FORENSIC_FEATURES
-
-    def _forensic_count(self, record: CrawlRecord, kind: str | None) -> float:
-        tallies = (self._forensics or {}).get(record.app_id)
-        if not tallies:
-            return 0.0
-        if kind is None:
-            return float(sum(tallies.values()))
-        return float(tallies.get(kind, 0))
 
     # -- individual features ------------------------------------------------
 
@@ -264,21 +213,6 @@ class FeatureExtractor:
             if not is_facebook_url(url)
         )
         return external / total
-
-    def _feature_forensic_event_count(self, record: CrawlRecord) -> float:
-        return self._forensic_count(record, None)
-
-    def _feature_forensic_deletion(self, record: CrawlRecord) -> float:
-        return self._forensic_count(record, "deletion")
-
-    def _feature_forensic_rename(self, record: CrawlRecord) -> float:
-        return self._forensic_count(record, "rename")
-
-    def _feature_forensic_permission_change(self, record: CrawlRecord) -> float:
-        return self._forensic_count(record, "permission_change")
-
-    def _feature_forensic_post_collapse(self, record: CrawlRecord) -> float:
-        return self._forensic_count(record, "post_rate_collapse")
 
     # -- vectors ----------------------------------------------------------------
 

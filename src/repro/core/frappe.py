@@ -247,32 +247,15 @@ class FrappeCascade:
             for tier, (indices, subrecords) in self._tier_groups(records).items()
             if tier != "none"
         ]
-        fused = [
-            group for group in groups
-            if group[0].features == ALL_FEATURES[: len(group[0].features)]
-        ]
-        matrix = None
-        if fused:
-            scorable = [
-                record
-                for _, _, subrecords, _ in fused
-                for record in subrecords
-            ]
-            matrix = self._extractor.matrix(scorable, ALL_FEATURES)
+        matrix = self._extractor.matrix(
+            [record for _, _, subrecords, _ in groups for record in subrecords],
+            ALL_FEATURES,
+        )
         offset = 0
-        for model, indices, subrecords, tier in groups:
-            if matrix is not None and model.features == ALL_FEATURES[
-                : len(model.features)
-            ]:
-                rows = matrix[
-                    offset : offset + len(indices), : len(model.features)
-                ]
-                offset += len(indices)
-                margins = model.margins_from_raw(rows)
-            else:
-                # A model whose features are not an ALL_FEATURES prefix
-                # (e.g. forensic-extended) extracts its own matrix.
-                margins = model.decision_function(subrecords)
+        for model, indices, _, tier in groups:
+            rows = matrix[offset : offset + len(indices), : len(model.features)]
+            offset += len(indices)
+            margins = model.margins_from_raw(rows)
             for index, margin in zip(indices, margins):
                 value = float(margin)
                 results[index] = (int(value >= 0.0), value, tier)

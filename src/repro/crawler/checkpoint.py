@@ -5,10 +5,10 @@ crawl — a process that inevitably died and restarted many times.  PR 1
 made the crawler survive the *network* failing; this module makes it
 survive the *process* failing:
 
-* :class:`CrawlJournal` — an append-only write-ahead log in the
-  :mod:`repro.durable` line format.  Each ``crawl_many`` call writes
-  one start line carrying the crawler state it starts from, then one
-  line per completed :class:`~repro.crawler.crawler.CrawlRecord`
+* :class:`CrawlJournal` — a :class:`repro.durable.Journal`, the
+  write-ahead log the monitor history shares.  Each ``crawl_many``
+  call writes one start line carrying the crawler state it starts
+  from, then one line per completed :class:`~repro.crawler.crawler.CrawlRecord`
   holding only the record,
 * :class:`CrashPlan` / :exc:`SimulatedCrash` — seeded crash injection
   at configurable points inside the crawl loop, including *between*
@@ -35,17 +35,17 @@ byte-identical to an uninterrupted one.
 
 Corruption policy
 -----------------
-Torn tails and interior corruption follow :mod:`repro.durable`.  An app
-whose line was quarantined is simply not durable: the walk re-crawls it
-in its place and appends it again.  A quarantined start line is written
-afresh from the crawler's state when its call begins.
+Torn tails and interior corruption follow :mod:`repro.durable`: opening
+the journal only reads it, and its first write — after ``crawl_many``
+has checked the fingerprint — moves bad lines to a sidecar and rewrites
+the file.  An app whose line was quarantined is simply not durable: the
+walk re-crawls it in its place and appends it again.  A quarantined
+start line is written afresh from the crawler's state when its call
+begins.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -54,18 +54,7 @@ import numpy as np
 
 from repro.crawler.crawler import COLLECTIONS, CrawlRecord
 from repro.crawler.resilience import CrawlOutcome
-from repro.durable import (
-    JournalVersionError,
-    ReplayError,
-    atomic_write,
-    canonical,
-    check_version,
-    decode_line,
-    encode_line,
-    quarantine,
-    scan,
-    sweep_tmp,
-)
+from repro.durable import Journal, JournalVersionError, encode_line
 from repro.obs.observer import get_observer
 from repro.rng import derive_seed
 
@@ -81,8 +70,6 @@ __all__ = [
     "record_to_jsonable",
     "record_from_jsonable",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 # -- crash injection --------------------------------------------------------
@@ -245,13 +232,13 @@ def record_from_jsonable(data: dict[str, Any]) -> CrawlRecord:
 
 #: the compaction file of the v1 format; its presence marks a v1 directory
 _V1_SNAPSHOT_NAME = "snapshot.json"
-#: a line's app ID: canonical JSON puts the ``app_id`` key first
-_APP_ID_PREFIX = re.compile(rb'[0-9a-f]{64}\t\{"app_id":"([^"\\]*)"')
 
 
-class CrawlJournal:
+class CrawlJournal(Journal):
     """Write-ahead log making a crawl kill-anywhere resumable.
 
+    A :class:`~repro.durable.Journal`: the base opens, reads, repairs,
+    appends and checks replays.  This class adds the crawl's schema.
     One directory holds everything:
 
     ``journal.jsonl``
@@ -264,7 +251,7 @@ class CrawlJournal:
         The configuration fingerprint the journal was written under;
         resuming with a different configuration is refused loudly.
     ``journal.jsonl.corrupt``
-        Quarantine sidecars for checksum-mismatched lines; repeated
+        Quarantine sidecars for damaged or malformed lines; repeated
         quarantines get counter-suffixed names (``….corrupt.1``, …) so
         no event overwrites another's evidence.
 
@@ -277,45 +264,17 @@ class CrawlJournal:
     """
 
     JOURNAL_NAME = "journal.jsonl"
-    META_NAME = "meta.json"
     FORMAT_VERSION = 2
+    WHAT = "crawl checkpoint"
 
     def __init__(self, directory: str | Path, resume: bool = True) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         #: call index -> the crawler state that call started from
         self._starts: dict[int, dict] = {}
-        #: (call index, app_id) -> jsonable record, in durability order
-        self._records: dict[tuple[int, str], dict] = {}
+        #: (call index, app_id) -> durable app line, in durability order
+        self._lines: dict[tuple[int, str], dict] = {}
         #: index of the crawl_many call in progress (-1 before the first)
         self._call = -1
-        #: apps whose journal lines were quarantined at open (best-effort
-        #: identification: a corrupt line may not name its app at all)
-        self.quarantined: tuple[str, ...] = ()
-        #: was a torn final line truncated at open?
-        self.truncated_torn_line = False
-        if not resume and self.journal_path.exists() \
-                and self.journal_path.stat().st_size > 0:
-            raise FileExistsError(
-                f"checkpoint directory {self.directory} already holds crawl "
-                "data; pass resume=True (CLI: --resume) to continue it, or "
-                "point --checkpoint at a fresh directory"
-            )
-        self._load()
-        sweep_tmp(self.directory)
-        self._fh = open(self.journal_path, "ab")
-
-    # -- paths ------------------------------------------------------------
-
-    @property
-    def journal_path(self) -> Path:
-        return self.directory / self.JOURNAL_NAME
-
-    @property
-    def meta_path(self) -> Path:
-        return self.directory / self.META_NAME
-
-    # -- loading -----------------------------------------------------------
+        super().__init__(directory, resume)
 
     def _load(self) -> None:
         if (self.directory / _V1_SNAPSHOT_NAME).exists():
@@ -325,70 +284,32 @@ class CrawlJournal:
                 f"v{self.FORMAT_VERSION}. Start a fresh history: point "
                 "--checkpoint at a new directory."
             )
-        path = self.journal_path
-        if not path.exists():
-            return
-        decoded, bad, torn = scan(path.read_bytes(), decode_line)
-        good: list[tuple[bytes, dict]] = []
-        for piece, payload in decoded:
-            check_version(
-                payload, self.FORMAT_VERSION, "crawl checkpoint", self.directory
-            )
-            if self._admit(payload):
-                good.append((piece, payload))
-            else:
-                bad.append(piece)
-        if bad:
-            self._quarantine_lines(bad)
-        if bad or torn:
-            # Rewrite the journal to exactly the surviving lines so the
-            # damage is handled once, not re-discovered on every open.
-            atomic_write(path, b"".join(piece + b"\n" for piece, _ in good))
-            self.truncated_torn_line = torn
+        super()._load()
 
-    def _admit(self, payload: dict) -> bool:
-        """Index one decoded line; ``False`` if its schema is malformed."""
+    def _admit(self, payload: dict) -> str | None:
         call = payload.get("call")
         if not isinstance(call, int) or call < 0:
-            return False
+            return "malformed"
         if "app_id" in payload:
-            app_id, record = payload["app_id"], payload.get("record")
-            if not isinstance(app_id, str) or not isinstance(record, dict):
-                return False
-            self._records[(call, app_id)] = record
+            if not isinstance(payload["app_id"], str) \
+                    or not isinstance(payload.get("record"), dict):
+                return "malformed"
+            self._lines[(call, payload["app_id"])] = payload
         elif isinstance(payload.get("state"), dict):
             self._starts[call] = payload["state"]
         else:
-            return False
-        return True
-
-    def _quarantine_lines(self, lines: list[bytes]) -> None:
-        corrupt_path = quarantine(self.journal_path, lines)
-        # Best-effort: name the app if the canonical body still starts
-        # with its app ID (a start line, or damage there, names none).
-        claimed = []
-        for line in lines:
-            named = _APP_ID_PREFIX.match(line)
-            claimed.append(
-                named.group(1).decode("utf-8", "replace") if named
-                else "<unidentifiable>"
-            )
-        self.quarantined = tuple(claimed)
-        logger.warning(
-            "quarantined %d corrupt journal line(s) in %s to sidecar "
-            "%s (apps: %s); they will be re-crawled",
-            len(lines), self.journal_path, corrupt_path, ", ".join(claimed),
-        )
+            return "malformed"
+        return None
 
     # -- replay API --------------------------------------------------------
 
     def __len__(self) -> int:
         """Durable app lines, over every call."""
-        return len(self._records)
+        return len(self._lines)
 
     def __contains__(self, app_id: str) -> bool:
         """Is *app_id* durable in any call?"""
-        return any(durable == app_id for _, durable in self._records)
+        return any(durable == app_id for _, durable in self._lines)
 
     def begin(self, state: dict) -> dict | None:
         """Open the next ``crawl_many`` call; its durable start state, if any.
@@ -406,36 +327,15 @@ class CrawlJournal:
         return start
 
     def durable(self, app_id: str) -> dict | None:
-        """The open call's durable line for *app_id* (its record), if any."""
-        return self._records.get((self._call, app_id))
+        """The open call's durable line for *app_id*, if any."""
+        return self._lines.get((self._call, app_id))
 
-    def check(self, record: CrawlRecord, durable: dict) -> None:
-        """Raise :class:`ReplayError` unless *record* re-derives *durable*."""
-        if canonical(record_to_jsonable(record)) != canonical(durable):
-            raise ReplayError(
-                f"call {self._call} app {record.app_id}: the re-crawled "
-                f"record differs from its durable line in "
-                f"{self.journal_path}; that checkpoint does not replay "
-                "under this world and configuration"
-            )
+    def line(self, record: CrawlRecord) -> dict:
+        """The line :meth:`append` writes for *record* in the open call."""
+        return {"v": self.FORMAT_VERSION, "call": self._call,
+                "app_id": record.app_id, "record": record_to_jsonable(record)}
 
     # -- writing -----------------------------------------------------------
-
-    def _write(self, payload: dict, tear: bool = False) -> bytes:
-        if self._fh is None:
-            raise RuntimeError("journal is closed")
-        line = encode_line(payload)
-        if tear:
-            self._fh.write(line[: max(1, 2 * len(line) // 3)])
-            self._fh.flush()
-            raise SimulatedCrash(
-                f"injected crash mid-append of {payload.get('app_id')} "
-                "(torn journal line)"
-            )
-        self._fh.write(line)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        return line
 
     def append(
         self, record: CrawlRecord, now_s: float, tear: bool = False
@@ -450,13 +350,18 @@ class CrawlJournal:
         producing exactly the torn-final-line artifact resume must
         absorb.
         """
-        data = record_to_jsonable(record)
-        line = self._write(
-            {"v": self.FORMAT_VERSION, "call": self._call,
-             "app_id": record.app_id, "record": data},
-            tear=tear,
-        )
-        self._records[(self._call, record.app_id)] = data
+        payload = self.line(record)
+        if tear:
+            line = encode_line(payload)
+            handle = self._handle()
+            handle.write(line[: max(1, 2 * len(line) // 3)])
+            handle.flush()
+            raise SimulatedCrash(
+                f"injected crash mid-append of {record.app_id} "
+                "(torn journal line)"
+            )
+        line = self._write(payload)
+        self._lines[(self._call, record.app_id)] = payload
         obs = get_observer()
         if obs.enabled:
             obs.event(
@@ -472,14 +377,3 @@ class CrawlJournal:
                 float(len(line)),
                 edges=(1024.0, 4096.0, 16384.0, 65536.0, 262144.0),
             )
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "CrawlJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -183,7 +183,6 @@ class AppCrawler:
         app_id: str,
         deadline_at: float | None = None,
         bulkhead: "object | None" = None,
-        strict_deadline: bool = False,
     ) -> CrawlRecord:
         """Crawl one app's three collections under a deadline budget.
 
@@ -194,12 +193,13 @@ class AppCrawler:
         each endpoint class to its compartment of the remaining budget,
         so one slow Graph API class cannot consume the whole request.
 
-        With *strict_deadline*, a collection whose start already lies
-        past the deadline is not attempted at all: its outcome is a
-        transient give-up tagged ``"deadline"`` (uninformative
+        An explicit *deadline_at* is strict: a collection whose start
+        already lies past it is not attempted at all, and its outcome
+        is a transient give-up tagged ``"deadline"`` (uninformative
         missingness — the classifier must degrade, not condemn).  The
-        batch crawler keeps the historical lenient behaviour, where
-        an exhausted deadline still allows fault-free attempts.
+        batch crawler's default budget keeps the historical lenient
+        behaviour, where an exhausted deadline still allows fault-free
+        attempts.
 
         Internally the whole crawl runs in a fresh *app frame* (time
         since this call started): the default deadline is the policy
@@ -215,16 +215,17 @@ class AppCrawler:
         # is a literal — no clock read on the disabled path.
         with obs.span("crawl.app", key=app_id, category="crawl", t=0.0) as span, \
                 obs.profile("crawl"):
-            if deadline_at is None:
-                rel_deadline = self._policy.per_app_deadline_s
-            else:
+            strict = deadline_at is not None
+            if strict:
                 rel_deadline = deadline_at - self.stats.elapsed_s
+            else:
+                rel_deadline = self._policy.per_app_deadline_s
             for crawl, endpoint in (
                 (self._crawl_summaries, "summary"),
                 (self._crawl_profile_feed, "feed"),
                 (self._crawl_install_url, "install"),
             ):
-                if strict_deadline and self.stats.app_elapsed_s >= rel_deadline:
+                if strict and self.stats.app_elapsed_s >= rel_deadline:
                     record.outcomes[endpoint] = CrawlOutcome(
                         endpoint, status=GAVE_UP, faults=["deadline"]
                     )
@@ -303,7 +304,7 @@ class AppCrawler:
                 crash_plan.check("before_app")
             record = self.crawl_app(app_id)
             if durable is not None:
-                journal.check(record, durable)
+                journal.check(journal.line(record), durable, f"app {app_id}")
             else:
                 if crash_plan is not None:
                     crash_plan.check("after_crawl")

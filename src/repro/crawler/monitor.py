@@ -59,18 +59,7 @@ from repro.crawler.checkpoint import record_from_jsonable, record_to_jsonable
 from repro.crawler.crawler import AppCrawler, CrawlRecord
 from repro.crawler.recrawl import RecrawlScheduler
 from repro.crawler.resilience import PERMANENT
-from repro.durable import (
-    ReplayError,
-    atomic_write,
-    canonical,
-    check_fingerprint,
-    check_version,
-    decode_line,
-    encode_line,
-    quarantine,
-    scan,
-    sweep_tmp,
-)
+from repro.durable import Journal, canonical, check_fingerprint, decode_line
 from repro.ecosystem.app_lifecycle import LifecycleScript
 from repro.obs.observer import get_observer
 
@@ -126,7 +115,7 @@ class MonitorConfig:
     epochs: int = 3
     #: calendar shift between epochs, in simulated days
     stride_days: int = 7
-    #: detect + record forensic events (and feed the extractor columns)
+    #: detect + record forensic events
     forensics: bool = False
     #: apply the simulated lifecycle script (ground truth for forensics)
     lifecycle: bool = False
@@ -152,18 +141,17 @@ class MonitorReport:
     quarantined: int = 0
 
 
-class MonitorJournal:
+class MonitorJournal(Journal):
     """The monitor's WAL: observations + epoch plans, one line each.
 
-    A :mod:`repro.durable` log with the checkpoint journal's entry
-    schema (fsync per append), read under its torn-tail and corruption
-    policy.  On top of it every decoded entry must pass the history's
-    admission checks: a malformed schema, a duplicate ``(epoch,
-    app_id)`` with conflicting content, or an observation that
-    contradicts recorded history (an app alive again after a journaled
-    deletion event) is quarantined to the same sidecar — even on the
-    final line — and the loop continues without it.  An identical
-    duplicate is dropped.
+    A :class:`~repro.durable.Journal` — the crawl checkpoint's base, so
+    it opens, reads, repairs, appends and checks replays the same way.
+    This class adds the history's schema and admission rules: a
+    malformed schema, a duplicate ``(epoch, app_id)`` with conflicting
+    content, or an observation that contradicts recorded history (an
+    app alive again after a journaled deletion event) is quarantined
+    to the same sidecar — even on the final line — and the loop
+    continues without it.  An identical duplicate is dropped.
 
     Lines are format ``v`` 3: an observation line holds the record and
     its forensic events, and only an epoch's plan line and its last
@@ -174,8 +162,8 @@ class MonitorJournal:
     """
 
     JOURNAL_NAME = "monitor.jsonl"
-    META_NAME = "meta.json"
     FORMAT_VERSION = 3
+    WHAT = "monitor history"
     #: app_id of a journaled epoch dispatch plan
     PLAN_SENTINEL = "__plan__"
 
@@ -186,8 +174,6 @@ class MonitorJournal:
         return payload if payload is not None and "app_id" in payload else None
 
     def __init__(self, directory: str | Path, resume: bool = True) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         #: valid entries in durability order (observations and plans)
         self.entries: list[dict] = []
         #: (epoch, app_id) -> observation entry
@@ -199,63 +185,7 @@ class MonitorJournal:
         self._states: dict[tuple[int, bool], dict] = {}
         #: apps with a journaled deletion event, and at which epoch
         self._deleted_at: dict[str, int] = {}
-        self.quarantined = 0
-        self.truncated_torn_line = False
-        if not resume and self.journal_path.exists() \
-                and self.journal_path.stat().st_size > 0:
-            raise FileExistsError(
-                f"monitor directory {self.directory} already holds history; "
-                "pass resume=True (CLI: --resume) to continue it, or point "
-                "--checkpoint at a fresh directory"
-            )
-        sweep_tmp(self.directory)
-        self._load()
-        self._fh = open(self.journal_path, "ab")
-
-    @property
-    def journal_path(self) -> Path:
-        return self.directory / self.JOURNAL_NAME
-
-    @property
-    def meta_path(self) -> Path:
-        return self.directory / self.META_NAME
-
-    # -- loading -----------------------------------------------------------
-
-    def _load(self) -> None:
-        path = self.journal_path
-        if not path.exists():
-            return
-        decoded, bad, torn = scan(path.read_bytes(), self.decode)
-        good: list[tuple[bytes, dict]] = []
-        for piece, payload in decoded:
-            check_version(
-                payload, self.FORMAT_VERSION, "monitor history", self.directory
-            )
-            problem = self._admit(payload)
-            if problem is None:
-                good.append((piece, payload))
-            elif problem == "duplicate":
-                pass  # byte-identical replay of a durable line: drop one
-            else:
-                logger.warning(
-                    "quarantining contradictory monitor entry "
-                    "(%s): epoch=%s app=%s",
-                    problem, payload.get("epoch"), payload.get("app_id"),
-                )
-                bad.append(piece)
-        if bad:
-            sidecar = quarantine(path, bad)
-            self.quarantined = len(bad)
-            logger.warning(
-                "quarantined %d corrupt/contradictory monitor line(s) in "
-                "%s to sidecar %s; the monitor continues without them",
-                len(bad), path, sidecar,
-            )
-        if bad or torn or len(good) != len(decoded):
-            # Absorb the damage once: rewrite to exactly the survivors.
-            atomic_write(path, b"".join(piece + b"\n" for piece, _ in good))
-            self.truncated_torn_line = torn
+        super().__init__(directory, resume)
 
     def _admit(self, payload: dict) -> str | None:
         """Fold one decoded entry in; a string names why it is rejected."""
@@ -383,12 +313,7 @@ class MonitorJournal:
     # -- writing -----------------------------------------------------------
 
     def _append(self, payload: dict) -> None:
-        if self._fh is None:
-            raise RuntimeError("monitor journal is closed")
-        line = encode_line(payload)
-        self._fh.write(line)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        self._write(payload)
         self._index(payload)
 
     def append_plan(self, epoch: int, plan: list[str], state: dict) -> None:
@@ -440,17 +365,6 @@ class MonitorJournal:
             payload["state"] = state
         return payload
 
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "MonitorJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 class AppMonitor:
     """Epoch loop: shift the calendar, recrawl the due set, diff history.
@@ -488,8 +402,6 @@ class AppMonitor:
             )
         #: first epoch run() still has to execute
         self._next_epoch = 0
-        #: forensic tallies per app (feeds FeatureExtractor.set_forensics)
-        self.forensic_tallies: dict[str, dict[str, int]] = {}
         check_fingerprint(
             journal.meta_path, self.fingerprint(), "monitor history"
         )
@@ -514,19 +426,12 @@ class AppMonitor:
     # -- resume ------------------------------------------------------------
 
     def _restore_from_journal(self) -> None:
-        self._rebuild_tallies()
         state = self._journal.resume_state()
         if state is None:
             return
         self._crawler.restore_state(state["crawler"])
         self.scheduler.restore(state["scheduler"])
         self._next_epoch = int(state["epoch"])
-
-    def _rebuild_tallies(self) -> None:
-        self.forensic_tallies = {}
-        for event in self._journal.forensic_events():
-            per = self.forensic_tallies.setdefault(event.app_id, {})
-            per[event.kind] = per.get(event.kind, 0) + 1
 
     def resync_from_journal(self) -> None:
         """Reload everything from disk (after a forked worker appended)."""
@@ -631,19 +536,18 @@ class AppMonitor:
 
     def _on_events(self, events: list[ForensicEvent]) -> None:
         obs = get_observer()
+        if not obs.enabled:
+            return
         for event in events:
-            per = self.forensic_tallies.setdefault(event.app_id, {})
-            per[event.kind] = per.get(event.kind, 0) + 1
-            if obs.enabled:
-                obs.event(
-                    "monitor.forensic",
-                    t=self._crawler.stats.elapsed_s,
-                    category="monitor",
-                    app_id=event.app_id,
-                    kind=event.kind,
-                    epoch=event.epoch,
-                )
-                obs.count("monitor_forensic_events_total", kind=event.kind)
+            obs.event(
+                "monitor.forensic",
+                t=self._crawler.stats.elapsed_s,
+                category="monitor",
+                app_id=event.app_id,
+                kind=event.kind,
+                epoch=event.epoch,
+            )
+            obs.count("monitor_forensic_events_total", kind=event.kind)
 
     def _pause_for_blackout(self, window: tuple[float, float], epoch: int) -> None:
         """Scheduler-level backpressure: sleep the window out, once.
@@ -685,7 +589,7 @@ class AppMonitor:
         durable (pinning resume order under exploration policies).  An
         app already durable at this epoch is crawled again and checked
         against its line (:class:`~repro.durable.ReplayError` if it differs)
-        instead of appended, tallied or heartbeated — restored state
+        instead of appended, traced or heartbeated — restored state
         plus the same calls gives the same records, so the replay is
         what carries crawler and scheduler across the durable prefix.
         An epoch before the restored cursor is complete: a no-op.
@@ -729,16 +633,13 @@ class AppMonitor:
                 state = self._snapshot(epoch + 1) if app_id == last else None
                 durable = journal.observation(epoch, app_id)
                 if durable is not None:
-                    replayed = MonitorJournal.observation_line(
-                        epoch, record, events, state
+                    journal.check(
+                        MonitorJournal.observation_line(
+                            epoch, record, events, state
+                        ),
+                        durable,
+                        f"epoch {epoch} app {app_id}",
                     )
-                    if canonical(replayed) != canonical(durable):
-                        raise ReplayError(
-                            f"epoch {epoch} app {app_id}: the re-derived "
-                            "observation differs from its durable line in "
-                            f"{journal.directory}; that history does not "
-                            "replay under this world and configuration"
-                        )
                     continue
                 self._on_events(events)
                 journal.append_observation(epoch, record, events, state)
@@ -828,8 +729,9 @@ def _epoch_worker(
     each append before returning, so the fork copies no pending bytes;
     the parent writes nothing while a worker lives; and the handle is
     in append mode, so each worker write lands at the file's end.  A
-    resync that rewrites the file to absorb a torn line reopens the
-    handle before the next fork.  The worker heartbeats after every
+    journal opens its handle only at its first write, after repairing
+    any damage it read, so a worker forked from a freshly resynced
+    parent repairs and opens its own.  The worker heartbeats after every
     durable observation.  Chaos (first incarnation only) kills or hangs
     the worker after the target observation, exercising the restart
     ladder.

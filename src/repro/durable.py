@@ -1,4 +1,4 @@
-"""Durable line logs: the one codec, scan and quarantine every journal uses.
+"""Durable line logs: the one codec, scan, quarantine and journal.
 
 The crawl checkpoint journal, the monitor's history journal and the
 analytics store's readers share this module's line format
@@ -9,6 +9,14 @@ an unterminated tail is the torn line and every complete line before
 it is interior — one that fails to decode is corruption, quarantined
 and never dropped silently.  When the file ends in a newline, a
 complete final line that fails to decode still counts as torn.
+
+:class:`Journal` is the one write-ahead log both journals derive from.
+Opening one only reads it: the used-directory refusal, the scan, the
+version check of every line and the subclass's admission rules.  The
+repair — the ``.corrupt`` sidecar, the rewrite to the survivors and
+the warning — waits for the first write, which comes after the owner
+has checked the directory's fingerprint, so a refused directory is
+left exactly as it was.
 
 Imports nothing else from :mod:`repro`, so any layer can use it.
 """
@@ -37,6 +45,7 @@ __all__ = [
     "quarantine",
     "check_fingerprint",
     "sweep_tmp",
+    "Journal",
 ]
 
 logger = logging.getLogger(__name__)
@@ -211,7 +220,10 @@ def check_fingerprint(meta_path: str | Path, fingerprint: dict, what: str) -> No
     The first open stamps *meta_path* with *fingerprint*; later opens
     must match it, or resuming would silently mix entries from
     incompatible runs, so a mismatch raises :class:`ConfigMismatchError`.
-    *what* names the log in messages.
+    A stored fingerprint laid out with other fields (:func:`_layout`)
+    was stamped by another build, and the message says so instead of
+    suggesting settings that cannot match.  *what* names the log in
+    messages.
     """
     meta_path = Path(meta_path)
     stored = None
@@ -226,6 +238,14 @@ def check_fingerprint(meta_path: str | Path, fingerprint: dict, what: str) -> No
                 "configuration", what, meta_path,
             )
     if stored is not None:
+        if _layout(stored) != _layout(fingerprint):
+            raise ConfigMismatchError(
+                f"{what} at {meta_path.parent} was written by another "
+                f"build of repro: its fingerprint holds other fields "
+                f"(stored {stored}; this build's {fingerprint}). No "
+                "settings of this build can resume it; start a fresh "
+                "directory."
+            )
         if stored != fingerprint:
             raise ConfigMismatchError(
                 f"{what} at {meta_path.parent} was written under a "
@@ -244,6 +264,20 @@ def check_fingerprint(meta_path: str | Path, fingerprint: dict, what: str) -> No
     )
 
 
+def _layout(fingerprint: Any) -> dict | None:
+    """The field names of every section of *fingerprint* that nests another.
+
+    Leaf sections (a fault plan, a retry policy) count as values: a
+    key there may follow a setting, as a fault plan's blackout windows
+    do, while a change to the outer layout only comes with a new build.
+    """
+    if not isinstance(fingerprint, dict) or not any(
+        isinstance(value, dict) for value in fingerprint.values()
+    ):
+        return None
+    return {key: _layout(value) for key, value in fingerprint.items()}
+
+
 def sweep_tmp(directory: str | Path) -> None:
     """Remove half-written ``*.tmp`` leftovers of interrupted writes."""
     for tmp in Path(directory).glob("*.tmp"):
@@ -251,3 +285,146 @@ def sweep_tmp(directory: str | Path) -> None:
             tmp.unlink()
         except OSError:  # pragma: no cover - racy cleanup
             pass
+
+
+# -- the journal ---------------------------------------------------------------
+
+
+class Journal:
+    """An append-only write-ahead log in one directory.
+
+    ``JOURNAL_NAME`` holds format ``FORMAT_VERSION`` lines and
+    ``meta.json`` the owner's configuration fingerprint
+    (:func:`check_fingerprint`).  A subclass adds its schema: the lines
+    it writes, and an :meth:`_admit` hook that indexes one decoded line
+    or names why it is rejected.
+
+    Opening reads and nothing else.  A directory that already holds
+    lines is refused without *resume* (:class:`FileExistsError`); every
+    line must carry ``FORMAT_VERSION`` (:class:`JournalVersionError`);
+    the survivors of :func:`scan` go through :meth:`_admit` in file
+    order.  A line that fails to decode or that :meth:`_admit` rejects
+    counts in :attr:`quarantined`; one it calls a ``"duplicate"`` is
+    dropped silently.  The first write repairs the directory before it
+    appends: stale ``*.tmp`` files are swept, rejected lines go to a
+    fresh ``.corrupt`` sidecar with a warning, and the file is
+    rewritten to exactly the survivors.  Every append is written,
+    flushed and fsynced before it returns.
+    """
+
+    JOURNAL_NAME: str
+    META_NAME = "meta.json"
+    FORMAT_VERSION: int
+    #: names the log in messages
+    WHAT: str
+
+    decode = staticmethod(decode_line)
+
+    def __init__(self, directory: str | Path, resume: bool = True) -> None:
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        #: lines found damaged or contradictory when the journal opened
+        self.quarantined = 0
+        #: did the file end in a torn line when the journal opened?
+        self.truncated_torn_line = False
+        self._fh = None
+        self._closed = False
+        #: (rejected lines, surviving lines, reasons) the first write repairs
+        self._damage: tuple[list[bytes], list[bytes], list[str]] | None = None
+        if not resume and self.journal_path.exists() \
+                and self.journal_path.stat().st_size > 0:
+            raise FileExistsError(
+                f"{self.WHAT} directory {self.directory} already holds "
+                "data; pass resume=True (CLI: --resume) to continue it, "
+                "or point --checkpoint at a fresh directory"
+            )
+        self._load()
+
+    @property
+    def journal_path(self) -> Path:
+        return self.directory / self.JOURNAL_NAME
+
+    @property
+    def meta_path(self) -> Path:
+        return self.directory / self.META_NAME
+
+    # -- loading -----------------------------------------------------------
+
+    def _load(self) -> None:
+        path = self.journal_path
+        if not path.exists():
+            return
+        decoded, bad, torn = scan(path.read_bytes(), self.decode)
+        for _, payload in decoded:
+            check_version(payload, self.FORMAT_VERSION, self.WHAT, self.directory)
+        good: list[bytes] = []
+        reasons = ["corrupt"] * len(bad)
+        for piece, payload in decoded:
+            problem = self._admit(payload)
+            if problem is None:
+                good.append(piece)
+            elif problem != "duplicate":
+                bad.append(piece)
+                reasons.append(problem)
+        self.quarantined = len(bad)
+        self.truncated_torn_line = torn
+        if bad or torn or len(good) != len(decoded):
+            self._damage = (bad, good, reasons)
+
+    def _admit(self, payload: dict) -> str | None:
+        """Index one decoded line; a string names why it is rejected."""
+        raise NotImplementedError
+
+    # -- writing -----------------------------------------------------------
+
+    def _handle(self):
+        """The append handle, opened after the first write's repair."""
+        if self._closed:
+            raise RuntimeError(f"{self.WHAT} journal is closed")
+        if self._fh is None:
+            sweep_tmp(self.directory)
+            if self._damage is not None:
+                bad, good, reasons = self._damage
+                if bad:
+                    sidecar = quarantine(self.journal_path, bad)
+                    logger.warning(
+                        "quarantined %d line(s) of %s (%s) to sidecar %s; "
+                        "their entries are derived again", len(bad),
+                        self.journal_path, ", ".join(reasons), sidecar,
+                    )
+                atomic_write(
+                    self.journal_path, b"".join(line + b"\n" for line in good)
+                )
+                self._damage = None
+            self._fh = open(self.journal_path, "ab")
+        return self._fh
+
+    def _write(self, payload: dict) -> bytes:
+        """Make one line durable: written, flushed and fsynced."""
+        line = encode_line(payload)
+        handle = self._handle()
+        handle.write(line)
+        handle.flush()
+        os.fsync(handle.fileno())
+        return line
+
+    def check(self, rederived: dict, durable: dict, where: str) -> None:
+        """Raise :class:`ReplayError` unless a replay re-derived its line."""
+        if canonical(rederived) != canonical(durable):
+            raise ReplayError(
+                f"{where}: the re-derived entry differs from its durable "
+                f"line in {self.journal_path}; that {self.WHAT} does not "
+                "replay under this world and configuration"
+            )
+
+    def close(self) -> None:
+        self._closed = True
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

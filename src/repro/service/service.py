@@ -885,7 +885,6 @@ class VerdictService:
                 request.app_id,
                 deadline_at=request.deadline_at,
                 bulkhead=self._bulkhead,
-                strict_deadline=True,
             )
 
     def _select_model(self, request: ScoreRequest) -> tuple[Any, int, Any]:

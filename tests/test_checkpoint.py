@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +46,7 @@ from repro.mypagekeeper.monitor import MyPageKeeper
 from tests.conftest import TEST_SCALE, TEST_SEED
 
 FAULT_RATE = 0.2
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -101,10 +106,13 @@ def test_atomic_write_creates_and_replaces(tmp_path):
     assert list(tmp_path.glob("*.tmp")) == []
 
 
-def test_journal_sweeps_stale_tmp_files(tmp_path):
+def test_journal_sweeps_stale_tmp_files(tmp_path, pristine_world, sample):
     (tmp_path / "journal.jsonl.abc123.tmp").write_bytes(b"half-written")
     with CrawlJournal(tmp_path):
-        pass
+        pass  # opening only reads
+    assert len(list(tmp_path.glob("*.tmp"))) == 1
+    with CrawlJournal(tmp_path) as journal:
+        _crawl(pristine_world, sample[:1], journal=journal)  # first write
     assert list(tmp_path.glob("*.tmp")) == []
 
 
@@ -209,13 +217,17 @@ def test_torn_final_line_silently_truncated(tmp_path, pristine_world, sample):
     reopened = CrawlJournal(tmp_path)
     assert reopened.truncated_torn_line
     assert len(reopened) == len(apps) - 1
-    assert reopened.quarantined == ()  # silent: a torn tail is expected
+    assert reopened.quarantined == 0  # silent: a torn tail is expected
+    assert path.read_bytes() == torn  # opening only reads
+    # the first write truncates the torn line, then re-crawls its app
+    _crawl(pristine_world, apps, journal=reopened)
     assert not (tmp_path / "journal.jsonl.corrupt").exists()
+    assert path.read_bytes() == raw
     # the journal was rewritten clean: a second open sees no damage
     reopened.close()
     again = CrawlJournal(tmp_path)
     assert not again.truncated_torn_line
-    assert len(again) == len(apps) - 1
+    assert len(again) == len(apps)
     again.close()
 
 
@@ -234,18 +246,20 @@ def test_interior_corruption_quarantined(
     lines[2] = lines[2][:mid] + b"X" + lines[2][mid + 1:]
     path.write_bytes(b"".join(lines))
 
-    with caplog.at_level(logging.WARNING, logger="repro.crawler.checkpoint"):
+    with caplog.at_level(logging.WARNING, logger="repro.durable"):
         reopened = CrawlJournal(tmp_path)
-    assert len(reopened) == len(apps) - 1
-    assert victim not in reopened
-    assert victim in reopened.quarantined
-    sidecar = tmp_path / "journal.jsonl.corrupt"
-    assert sidecar.exists() and sidecar.stat().st_size > 0
-    assert any("quarantined" in r.message for r in caplog.records)
-    # resuming re-crawls the quarantined app in its place: the records
-    # are the uninterrupted crawl's
-    resumed = _crawl(pristine_world, apps, journal=reopened)
+        assert len(reopened) == len(apps) - 1
+        assert victim not in reopened
+        assert reopened.quarantined == 1
+        sidecar = tmp_path / "journal.jsonl.corrupt"
+        assert not sidecar.exists()  # opening only reads
+        # resuming re-crawls the quarantined app in its place: the
+        # records are the uninterrupted crawl's
+        resumed = _crawl(pristine_world, apps, journal=reopened)
     assert _canon(resumed) == _canon(control)
+    # the first write moved the victim's line to the sidecar
+    assert sidecar.read_bytes() == lines[2]
+    assert any("quarantined" in r.message for r in caplog.records)
     reopened.close()
 
 
@@ -261,13 +275,12 @@ def test_next_sidecar_path_counts_up(tmp_path):
 
 
 def _corrupt_interior_line(path, index=1):
-    """Flip a byte in the middle of journal line *index*; return its app."""
+    """Flip a byte in the middle of journal line *index*; return the line."""
     lines = path.read_bytes().splitlines(keepends=True)
-    victim = json.loads(lines[index].split(b"\t", 1)[1])["app_id"]
     mid = len(lines[index]) // 2
     lines[index] = lines[index][:mid] + b"X" + lines[index][mid + 1:]
     path.write_bytes(b"".join(lines))
-    return victim
+    return lines[index]
 
 
 def test_repeated_quarantine_never_overwrites_a_sidecar(
@@ -287,23 +300,24 @@ def test_repeated_quarantine_never_overwrites_a_sidecar(
 
     first_victim = _corrupt_interior_line(path, index=1)
     reopened = CrawlJournal(tmp_path)
-    first_sidecar = tmp_path / "journal.jsonl.corrupt"
-    assert first_sidecar.exists()
-    evidence = first_sidecar.read_bytes()
     # resume: re-crawl the quarantined app, making the journal whole again
     _crawl(pristine_world, apps, journal=reopened)
     reopened.close()
+    first_sidecar = tmp_path / "journal.jsonl.corrupt"
+    assert first_sidecar.exists()
+    evidence = first_sidecar.read_bytes()
 
     second_victim = _corrupt_interior_line(path, index=2)
     again = CrawlJournal(tmp_path)
+    _crawl(pristine_world, apps, journal=again)
+    again.close()
     second_sidecar = tmp_path / "journal.jsonl.corrupt.1"
     assert second_sidecar.exists(), "second quarantine must get a new name"
     # the first sidecar is untouched, byte for byte
     assert first_sidecar.read_bytes() == evidence
     assert second_sidecar.read_bytes() != evidence
-    assert first_victim not in again.quarantined  # it was re-crawled
-    assert second_victim in again.quarantined
-    again.close()
+    assert evidence == first_victim  # it was re-crawled, not quarantined again
+    assert second_sidecar.read_bytes() == second_victim
 
 
 # -- older formats ------------------------------------------------------------
@@ -382,6 +396,40 @@ def test_cli_refuses_a_used_or_foreign_checkpoint_in_one_line(
         assert [line for line in err if line.startswith("repro: error: ")] \
             == [err[-1]]
         assert directory in err[-1] and reason in err[-1]
+
+
+@pytest.mark.parametrize("command", ["crawl", "monitor"])
+def test_cli_leaves_a_refused_damaged_directory_untouched(tmp_path, command):
+    """A damaged directory resumed under another seed is refused as it is.
+
+    The fingerprint check comes before the repair: no sidecar, no
+    rewrite, and no progress or quarantine line before the error.
+    """
+    directory = tmp_path / "ck"
+    tail = [command] + (["--epochs", "1"] if command == "monitor" else [])
+
+    def run(seed, *flags):
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "--scale", str(TEST_SCALE),
+             "--seed", str(seed), "--checkpoint", str(directory), *flags,
+             *tail],
+            cwd=REPO_ROOT, env=env, capture_output=True, check=False,
+        )
+
+    assert run(2012).returncode == 0
+    name = "journal.jsonl" if command == "crawl" else "monitor.jsonl"
+    lines = (directory / name).read_bytes().splitlines(keepends=True)
+    mid = len(lines[2]) // 2
+    lines[2] = lines[2][:mid] + b"X" + lines[2][mid + 1:]
+    (directory / name).write_bytes(b"".join(lines))
+    before = {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    refused = run(3, "--resume")
+    assert refused.returncode == 2
+    err = refused.stderr.decode().splitlines()
+    assert len(err) == 1 and err[0].startswith("repro: error: ")
+    assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
 
 
 # -- configuration fingerprint ----------------------------------------------

@@ -319,8 +319,9 @@ def test_enospc_mid_append_resumes_byte_identical(
 
     journal = CrawlJournal(chaos_dir)
     # Disk fills while appending the third app's journal line (the
-    # first write is the call's start line).
-    journal._fh = _DiskFullHandle(journal._fh, fail_at_write=4)
+    # first write is the call's start line).  The append handle opens
+    # lazily, at the first write, so open it here to wrap it.
+    journal._fh = _DiskFullHandle(journal._handle(), fail_at_write=4)
     with pytest.raises(OSError) as excinfo:
         make_crawler(pristine_world).crawl_many(apps, journal=journal)
     assert excinfo.value.errno == errno.ENOSPC
@@ -370,7 +371,7 @@ def test_enospc_on_monitor_journal_resumes_byte_identical(tmp_path):
 
     monitor = fresh(tmp_path / "mon")
     monitor.journal._fh = _DiskFullHandle(
-        monitor.journal._fh, fail_at_write=4
+        monitor.journal._handle(), fail_at_write=4
     )
     with pytest.raises(OSError) as excinfo:
         monitor.run()

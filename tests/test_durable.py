@@ -19,7 +19,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crawler.checkpoint import CrawlJournal
 from repro.crawler.monitor import MonitorJournal
-from repro.durable import decode_line, encode_line, scan
+from repro.durable import (
+    ConfigMismatchError,
+    check_fingerprint,
+    decode_line,
+    encode_line,
+    scan,
+)
 from repro.store import AnalyticsStore, ingest_monitor_history, ingest_trace
 
 
@@ -145,25 +151,32 @@ def _plain(name: str):
 
 
 def _open_crawl_journal(directory: Path, store):
-    journal = CrawlJournal(directory)
-    journal.close()
-    return len(journal.quarantined), journal.truncated_torn_line
+    """Open, then write once (a start line): the write repairs first."""
+    with CrawlJournal(directory) as journal:
+        journal.begin({})
+    written = encode_line({"v": 2, "call": 0, "state": {}})
+    return journal.quarantined, journal.truncated_torn_line, written
 
 
 def _open_monitor_journal(directory: Path, store):
-    journal = MonitorJournal(directory)
-    journal.close()
-    return journal.quarantined, journal.truncated_torn_line
+    """Open, then write once (a plan line): the write repairs first."""
+    with MonitorJournal(directory) as journal:
+        journal.append_plan(1, [], {"epoch": 1})
+    written = encode_line({
+        "v": 3, "app_id": MonitorJournal.PLAN_SENTINEL, "epoch": 1,
+        "plan": [], "state": {"epoch": 1},
+    })
+    return journal.quarantined, journal.truncated_torn_line, written
 
 
 def _ingest_trace(directory: Path, store):
     result = ingest_trace(store, directory / "trace.jsonl")
-    return result.quarantined, result.torn
+    return result.quarantined, result.torn, b""
 
 
 def _ingest_monitor_history(directory: Path, store):
     result = ingest_monitor_history(store, directory)
-    return result.quarantined, result.torn
+    return result.quarantined, result.torn, b""
 
 
 @pytest.mark.parametrize(
@@ -190,9 +203,31 @@ def test_corrupt_line_before_torn_tail_is_quarantined(
     damaged = good + bad + tail
     path.write_bytes(damaged)
     with AnalyticsStore(tmp_path / "s.sqlite") as store:
-        quarantined, torn = reader(directory, store)
+        quarantined, torn, written = reader(directory, store)
     assert quarantined == 1
     assert torn
     assert path.with_name(name + ".corrupt").read_bytes() == bad
-    # The journals absorb the damage; the store never rewrites its inputs.
-    assert path.read_bytes() == (good if rewrites else damaged)
+    # A journal's first write absorbs the damage before it appends; the
+    # store never rewrites its inputs.
+    assert path.read_bytes() == (good + written if rewrites else damaged)
+
+
+# -- the fingerprint stamp -----------------------------------------------------
+
+
+def test_a_fingerprint_from_another_build_is_named_as_such(tmp_path):
+    """Other fields where sections nest mean another build; a leaf key
+    that follows a setting (blackout windows) is a settings change."""
+    meta = tmp_path / "meta.json"
+    plan = {"fault_rate": 0.2, "seed": 1}
+    check_fingerprint(meta, {"crawler": {"seed": 1, "fault_plan": plan}}, "log")
+    windows = dict(plan, blackout_windows=[[0.0, 60.0]])
+    with pytest.raises(ConfigMismatchError, match="different configuration"):
+        check_fingerprint(
+            meta, {"crawler": {"seed": 1, "fault_plan": windows}}, "log"
+        )
+    with pytest.raises(ConfigMismatchError, match="another build") as excinfo:
+        check_fingerprint(meta, {
+            "crawler": {"seed": 1, "transport": "X", "fault_plan": plan},
+        }, "log")
+    assert "original settings" not in str(excinfo.value)

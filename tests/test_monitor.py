@@ -251,14 +251,6 @@ class TestForensics:
                 checked += 1
         assert checked > 0
 
-    def test_tallies_rebuilt_from_journal(self, monitored):
-        _, monitor, report = monitored
-        total = sum(
-            n for per in monitor.forensic_tallies.values()
-            for n in per.values()
-        )
-        assert total == len(report.forensic_events)
-
     def test_forensics_off_records_no_events(self, app_ids, tmp_path):
         world = build_world()
         crawler = make_crawler(world)
@@ -408,14 +400,17 @@ class TestJournalQuarantine:
         assert journal.quarantined == 1
         assert len(journal.entries) == 2
         sidecar = directory / f"{MonitorJournal.JOURNAL_NAME}.corrupt"
+        assert not sidecar.exists()  # opening only reads
+        journal.append_plan(1, [], {"epoch": 1})  # the first write repairs
         assert sidecar.exists()
         assert b"not a checksum" in sidecar.read_bytes()
-        # The journal was rewritten to exactly the survivors: a second
-        # open sees a clean file and quarantines nothing.
+        # The journal was rewritten to exactly the survivors before the
+        # append: a second open sees a clean file and quarantines nothing.
         journal.close()
         again = MonitorJournal(directory)
         assert again.quarantined == 0
-        assert len(again.entries) == 2
+        assert len(again.entries) == 3
+        assert again.entries[:2] == good
         again.close()
 
     def test_conflicting_observation_quarantined(self, tmp_path):
@@ -764,40 +759,3 @@ class TestMonitorCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("repro: error:")
         assert "v2" in err[0] and "v3" in err[0]
-
-
-class TestForensicFeatureColumns:
-    def test_columns_off_by_default(self):
-        from repro.core.features import (
-            ALL_FEATURES,
-            FORENSIC_FEATURES,
-            FeatureExtractor,
-        )
-
-        world = build_world()
-        extractor = FeatureExtractor(world)
-        assert not extractor.forensics_enabled
-        assert extractor.feature_names() == ALL_FEATURES
-        for name in FORENSIC_FEATURES:
-            assert name not in ALL_FEATURES
-
-    def test_columns_appear_when_tallies_attached(self, app_ids):
-        from repro.core.features import (
-            ALL_FEATURES,
-            FORENSIC_FEATURES,
-            FeatureExtractor,
-        )
-
-        world = build_world()
-        crawler = make_crawler(world)
-        record = crawler.crawl_app(app_ids[0])
-        extractor = FeatureExtractor(world)
-        extractor.set_forensics({
-            app_ids[0]: {"deletion": 1, "rename": 2},
-        })
-        assert extractor.forensics_enabled
-        assert extractor.feature_names() == ALL_FEATURES + FORENSIC_FEATURES
-        assert extractor.feature_value("forensic_event_count", record) == 3.0
-        assert extractor.feature_value("forensic_deletion", record) == 1.0
-        assert extractor.feature_value("forensic_rename", record) == 2.0
-        assert extractor.feature_value("forensic_permission_change", record) == 0.0

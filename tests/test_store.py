@@ -20,13 +20,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import ScaleConfig
 from repro.core.pipeline import FrappePipeline
-from repro.durable import encode_line
+from repro.crawler.monitor import MonitorJournal
+from repro.durable import encode_line, scan
 from repro.service import (
     LoadProfile,
     estimate_capacity_rps,
@@ -413,6 +416,45 @@ class TestMonitorIngest:
             result = ingest_monitor_history(store, tmp_path / "mon")
             assert result.quarantined == 1 and result.rows == 1
             assert (tmp_path / "mon" / "monitor.jsonl.corrupt").exists()
+
+
+#: a small history: a plan line, then two epochs of two apps
+HISTORY = [
+    {"v": 1, "app_id": "__plan__", "epoch": 0, "plan": ["a", "b"],
+     "state": {}},
+    observation(0, "a", True),
+    observation(0, "b", True),
+    observation(1, "a", True, events=[
+        {"epoch": 1, "app_id": "a", "kind": "rename", "detail": "x -> y"},
+    ]),
+    observation(1, "b", False, events=[
+        {"epoch": 1, "app_id": "b", "kind": "deletion", "detail": ""},
+    ]),
+]
+
+
+@given(data=st.data(), flip=st.none() | st.integers(1, 255))
+@settings(deadline=None, max_examples=40)
+def test_a_damaged_history_ingests_as_its_scan_survivors(data, flip):
+    """Cut or flip any byte: the store sees exactly what the scan keeps."""
+    raw = b"".join(encode_line(entry) for entry in HISTORY)
+    at = data.draw(st.integers(0, len(raw) - 1))
+    if flip is None:
+        damaged = raw[:at]
+    else:
+        damaged = raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1:]
+    good, _, _ = scan(damaged, MonitorJournal.decode)
+    survivors = b"".join(line + b"\n" for line, _ in good)
+    with tempfile.TemporaryDirectory() as scratch:
+        images = []
+        for name, journal in (("damaged", damaged), ("survivors", survivors)):
+            directory = Path(scratch) / name
+            directory.mkdir()
+            (directory / MonitorJournal.JOURNAL_NAME).write_bytes(journal)
+            with AnalyticsStore(Path(scratch) / f"{name}.sqlite") as store:
+                ingest_monitor_history(store, directory, label="history")
+                images.append(store.canonical_bytes())
+    assert images[0] == images[1]
 
 
 # -- the paper tables, from store --------------------------------------------
