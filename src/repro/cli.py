@@ -464,7 +464,6 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     from repro.crawler.checkpoint import CrawlJournal
     from repro.crawler.crawler import make_crawler
     from repro.crawler.datasets import DatasetBuilder
-    from repro.durable import check_fingerprint
     from repro.ecosystem.simulation import run_simulation
     from repro.mypagekeeper.classifier import UrlClassifier
     from repro.mypagekeeper.monitor import MyPageKeeper
@@ -482,9 +481,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     try:
         if journal is not None:
             # Refuse a foreign directory before saying anything about it.
-            check_fingerprint(
-                journal.meta_path, crawler.checkpoint_fingerprint(), "checkpoint"
-            )
+            journal.check_fingerprint(crawler.checkpoint_fingerprint())
             print(
                 f"checkpoint: {config.checkpoint_dir} "
                 f"({len(journal)}/{len(bundle.d_sample)} apps already durable)",

@@ -37,11 +37,11 @@ Corruption policy
 -----------------
 Torn tails and interior corruption follow :mod:`repro.durable`: opening
 the journal only reads it, and its first write — after ``crawl_many``
-has checked the fingerprint — moves bad lines to a sidecar and rewrites
-the file.  An app whose line was quarantined is simply not durable: the
-walk re-crawls it in its place and appends it again.  A quarantined
-start line is written afresh from the crawler's state when its call
-begins.
+has checked the fingerprint against the header line — moves bad lines
+to a sidecar and rewrites the file.  An app whose line was quarantined
+is simply not durable: the walk re-crawls it in its place and appends
+it again.  A quarantined start line is written afresh from the
+crawler's state when its call begins.
 """
 
 from __future__ import annotations
@@ -242,14 +242,15 @@ class CrawlJournal(Journal):
     One directory holds everything:
 
     ``journal.jsonl``
-        Format ``v`` 2 lines.  Each :meth:`AppCrawler.crawl_many
-        <repro.crawler.crawler.AppCrawler.crawl_many>` call first writes
+        Format ``v`` 3 lines.  The first is the header holding the
+        configuration fingerprint the journal was written under;
+        resuming with a different configuration, or with a missing or
+        damaged header, is refused loudly.  Each
+        :meth:`AppCrawler.crawl_many
+        <repro.crawler.crawler.AppCrawler.crawl_many>` call then writes
         one start line (the call's index in the directory and the
         crawler state it started from), then one line per app holding
         only the call index, the app ID and the record.
-    ``meta.json``
-        The configuration fingerprint the journal was written under;
-        resuming with a different configuration is refused loudly.
     ``journal.jsonl.corrupt``
         Quarantine sidecars for damaged or malformed lines; repeated
         quarantines get counter-suffixed names (``….corrupt.1``, …) so
@@ -264,7 +265,7 @@ class CrawlJournal(Journal):
     """
 
     JOURNAL_NAME = "journal.jsonl"
-    FORMAT_VERSION = 2
+    FORMAT_VERSION = 3
     WHAT = "crawl checkpoint"
 
     def __init__(self, directory: str | Path, resume: bool = True) -> None:

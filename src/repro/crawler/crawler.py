@@ -38,7 +38,6 @@ from repro.crawler.resilience import (
     ResilientExecutor,
     RetryPolicy,
 )
-from repro.durable import check_fingerprint
 from repro.obs.observer import get_observer
 from repro.platform.transport import (
     FaultPlan,
@@ -291,9 +290,7 @@ class AppCrawler:
         """
         records: dict[str, CrawlRecord] = {}
         if journal is not None:
-            check_fingerprint(
-                journal.meta_path, self.checkpoint_fingerprint(), "checkpoint"
-            )
+            journal.check_fingerprint(self.checkpoint_fingerprint())
             start = journal.begin(self.snapshot_state())
             if start is not None:
                 self.restore_state(start)

@@ -59,7 +59,7 @@ from repro.crawler.checkpoint import record_from_jsonable, record_to_jsonable
 from repro.crawler.crawler import AppCrawler, CrawlRecord
 from repro.crawler.recrawl import RecrawlScheduler
 from repro.crawler.resilience import PERMANENT
-from repro.durable import Journal, canonical, check_fingerprint, decode_line
+from repro.durable import Journal, canonical, decode_line
 from repro.ecosystem.app_lifecycle import LifecycleScript
 from repro.obs.observer import get_observer
 
@@ -153,8 +153,9 @@ class MonitorJournal(Journal):
     to the same sidecar — even on the final line — and the loop
     continues without it.  An identical duplicate is dropped.
 
-    Lines are format ``v`` 3: an observation line holds the record and
-    its forensic events, and only an epoch's plan line and its last
+    Lines are format ``v`` 4: after the header (the
+    :meth:`AppMonitor.fingerprint`), an observation line holds the record
+    and its forensic events, and only an epoch's plan line and its last
     planned observation carry ``state`` (crawler, scheduler, and the
     epoch cursor — the epoch for the plan line, the next one for the
     last observation).  A journal holding any other version is refused
@@ -162,16 +163,18 @@ class MonitorJournal(Journal):
     """
 
     JOURNAL_NAME = "monitor.jsonl"
-    FORMAT_VERSION = 3
+    FORMAT_VERSION = 4
     WHAT = "monitor history"
     #: app_id of a journaled epoch dispatch plan
     PLAN_SENTINEL = "__plan__"
 
     @staticmethod
     def decode(line: bytes) -> dict | None:
-        """One journal entry; ``None`` if damaged or not naming an app."""
+        """One journal entry or the header; ``None`` if damaged or neither."""
         payload = decode_line(line)
-        return payload if payload is not None and "app_id" in payload else None
+        if payload is None or payload.keys().isdisjoint(("app_id", "fingerprint")):
+            return None
+        return payload
 
     def __init__(self, directory: str | Path, resume: bool = True) -> None:
         #: valid entries in durability order (observations and plans)
@@ -402,9 +405,7 @@ class AppMonitor:
             )
         #: first epoch run() still has to execute
         self._next_epoch = 0
-        check_fingerprint(
-            journal.meta_path, self.fingerprint(), "monitor history"
-        )
+        journal.check_fingerprint(self.fingerprint())
         self._restore_from_journal()
 
     # -- identity ----------------------------------------------------------

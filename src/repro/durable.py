@@ -11,12 +11,14 @@ and never dropped silently.  When the file ends in a newline, a
 complete final line that fails to decode still counts as torn.
 
 :class:`Journal` is the one write-ahead log both journals derive from.
-Opening one only reads it: the used-directory refusal, the scan, the
-version check of every line and the subclass's admission rules.  The
-repair — the ``.corrupt`` sidecar, the rewrite to the survivors and
-the warning — waits for the first write, which comes after the owner
-has checked the directory's fingerprint, so a refused directory is
-left exactly as it was.
+Its first line is a header holding the owner's configuration
+fingerprint, in the same codec as every other line.  Opening a journal
+only reads it: the used-directory refusal, the scan, the version check
+of every line and the subclass's admission rules.  The repair — the
+``.corrupt`` sidecar, the rewrite to the survivors and the warning —
+waits for the first write, which comes after the owner has checked the
+fingerprint against the header, so a refused directory is left exactly
+as it was.
 
 Imports nothing else from :mod:`repro`, so any layer can use it.
 """
@@ -43,7 +45,6 @@ __all__ = [
     "decode_line",
     "scan",
     "quarantine",
-    "check_fingerprint",
     "sweep_tmp",
     "Journal",
 ]
@@ -214,56 +215,6 @@ def quarantine(path: str | Path, lines: list[bytes]) -> Path:
 # -- resumable-log housekeeping ------------------------------------------------
 
 
-def check_fingerprint(meta_path: str | Path, fingerprint: dict, what: str) -> None:
-    """Refuse to splice logs written under different configurations.
-
-    The first open stamps *meta_path* with *fingerprint*; later opens
-    must match it, or resuming would silently mix entries from
-    incompatible runs, so a mismatch raises :class:`ConfigMismatchError`.
-    A stored fingerprint laid out with other fields (:func:`_layout`)
-    was stamped by another build, and the message says so instead of
-    suggesting settings that cannot match.  *what* names the log in
-    messages.
-    """
-    meta_path = Path(meta_path)
-    stored = None
-    if meta_path.exists():
-        try:
-            stored = json.loads(
-                meta_path.read_text(encoding="utf-8")
-            ).get("fingerprint")
-        except (ValueError, UnicodeDecodeError):
-            logger.warning(
-                "%s meta %s is corrupt; rewriting it from the current "
-                "configuration", what, meta_path,
-            )
-    if stored is not None:
-        if _layout(stored) != _layout(fingerprint):
-            raise ConfigMismatchError(
-                f"{what} at {meta_path.parent} was written by another "
-                f"build of repro: its fingerprint holds other fields "
-                f"(stored {stored}; this build's {fingerprint}). No "
-                "settings of this build can resume it; start a fresh "
-                "directory."
-            )
-        if stored != fingerprint:
-            raise ConfigMismatchError(
-                f"{what} at {meta_path.parent} was written under a "
-                f"different configuration (stored {stored}; current "
-                f"{fingerprint}). Resume with the original settings, or "
-                "start a fresh directory."
-            )
-        return
-    atomic_write(
-        meta_path,
-        json.dumps(
-            {"format_version": 1, "fingerprint": fingerprint},
-            indent=1,
-            sort_keys=True,
-        ),
-    )
-
-
 def _layout(fingerprint: Any) -> dict | None:
     """The field names of every section of *fingerprint* that nests another.
 
@@ -293,27 +244,28 @@ def sweep_tmp(directory: str | Path) -> None:
 class Journal:
     """An append-only write-ahead log in one directory.
 
-    ``JOURNAL_NAME`` holds format ``FORMAT_VERSION`` lines and
-    ``meta.json`` the owner's configuration fingerprint
-    (:func:`check_fingerprint`).  A subclass adds its schema: the lines
-    it writes, and an :meth:`_admit` hook that indexes one decoded line
-    or names why it is rejected.
+    ``JOURNAL_NAME`` holds format ``FORMAT_VERSION`` lines, the first a
+    header ``{"v": …, "fingerprint": …}`` naming the configuration the
+    journal was written under (:meth:`check_fingerprint`), in the same
+    codec and version check as every other line; beside it the directory
+    holds only the sidecars of a repair.  A subclass adds its schema:
+    the lines it writes, and an :meth:`_admit` hook that indexes one
+    decoded line or names why it is rejected.
 
     Opening reads and nothing else.  A directory that already holds
     lines is refused without *resume* (:class:`FileExistsError`); every
     line must carry ``FORMAT_VERSION`` (:class:`JournalVersionError`);
-    the survivors of :func:`scan` go through :meth:`_admit` in file
-    order.  A line that fails to decode or that :meth:`_admit` rejects
-    counts in :attr:`quarantined`; one it calls a ``"duplicate"`` is
-    dropped silently.  The first write repairs the directory before it
-    appends: stale ``*.tmp`` files are swept, rejected lines go to a
-    fresh ``.corrupt`` sidecar with a warning, and the file is
-    rewritten to exactly the survivors.  Every append is written,
-    flushed and fsynced before it returns.
+    the header is set aside and the other survivors of :func:`scan` go
+    through :meth:`_admit` in file order.  A line that fails to decode
+    or that :meth:`_admit` rejects counts in :attr:`quarantined`; one it
+    calls a ``"duplicate"`` is dropped silently.  The first write
+    repairs the directory before it appends: stale ``*.tmp`` files are
+    swept, rejected lines go to a fresh ``.corrupt`` sidecar with a
+    warning, and the file is rewritten to exactly the survivors.  Every
+    append is written, flushed and fsynced before it returns.
     """
 
     JOURNAL_NAME: str
-    META_NAME = "meta.json"
     FORMAT_VERSION: int
     #: names the log in messages
     WHAT: str
@@ -329,6 +281,10 @@ class Journal:
         self.truncated_torn_line = False
         self._fh = None
         self._closed = False
+        #: the header's fingerprint (``None``: no intact header line)
+        self._fingerprint: dict | None = None
+        #: do lines other than a torn tail follow a missing header?
+        self._headless = False
         #: (rejected lines, surviving lines, reasons) the first write repairs
         self._damage: tuple[list[bytes], list[bytes], list[str]] | None = None
         if not resume and self.journal_path.exists() \
@@ -344,22 +300,26 @@ class Journal:
     def journal_path(self) -> Path:
         return self.directory / self.JOURNAL_NAME
 
-    @property
-    def meta_path(self) -> Path:
-        return self.directory / self.META_NAME
-
     # -- loading -----------------------------------------------------------
 
     def _load(self) -> None:
         path = self.journal_path
         if not path.exists():
             return
-        decoded, bad, torn = scan(path.read_bytes(), self.decode)
+        raw = path.read_bytes()
+        decoded, bad, torn = scan(raw, self.decode)
         for _, payload in decoded:
             check_version(payload, self.FORMAT_VERSION, self.WHAT, self.directory)
+        # The header is the file's first line, intact, and is not admitted.
         good: list[bytes] = []
+        if decoded and "fingerprint" in decoded[0][1] \
+                and raw.startswith(decoded[0][0] + b"\n"):
+            good.append(decoded[0][0])
+            self._fingerprint = decoded[0][1]["fingerprint"]
+        else:
+            self._headless = bool(decoded or bad)
         reasons = ["corrupt"] * len(bad)
-        for piece, payload in decoded:
+        for piece, payload in decoded[len(good):]:
             problem = self._admit(payload)
             if problem is None:
                 good.append(piece)
@@ -370,6 +330,44 @@ class Journal:
         self.truncated_torn_line = torn
         if bad or torn or len(good) != len(decoded):
             self._damage = (bad, good, reasons)
+
+    def check_fingerprint(self, fingerprint: dict) -> None:
+        """Refuse to splice runs written under different configurations.
+
+        A journal with no lines, or only a torn one, takes *fingerprint*
+        as its header, the journal's first write.  Otherwise the header
+        must hold *fingerprint*: a mismatch, a header laid out with other
+        fields (:func:`_layout`, another build of repro), or a first
+        line that is missing or damaged while other lines follow raises
+        :class:`ConfigMismatchError` and writes nothing.
+        """
+        stored = self._fingerprint
+        if stored is None:
+            if self._headless:
+                raise ConfigMismatchError(
+                    f"{self.WHAT} at {self.directory} has no intact "
+                    "configuration header: its first line is missing or "
+                    "damaged, so nothing shows which settings wrote it. "
+                    "Start a fresh directory."
+                )
+            self._write({"v": self.FORMAT_VERSION, "fingerprint": fingerprint})
+            self._fingerprint = fingerprint
+            return
+        if _layout(stored) != _layout(fingerprint):
+            raise ConfigMismatchError(
+                f"{self.WHAT} at {self.directory} was written by another "
+                f"build of repro: its fingerprint holds other fields "
+                f"(stored {stored}; this build's {fingerprint}). No "
+                "settings of this build can resume it; start a fresh "
+                "directory."
+            )
+        if stored != fingerprint:
+            raise ConfigMismatchError(
+                f"{self.WHAT} at {self.directory} was written under a "
+                f"different configuration (stored {stored}; current "
+                f"{fingerprint}). Resume with the original settings, or "
+                "start a fresh directory."
+            )
 
     def _admit(self, payload: dict) -> str | None:
         """Index one decoded line; a string names why it is rejected."""

@@ -7,11 +7,11 @@ bytes — ingestion is idempotent by construction, so crash-and-rerun
 loops (the operational norm) can re-offer everything blindly.
 
 JSONL inputs are read under the :mod:`repro.durable` torn-tail and
-corruption policy, with one rule of the store's own: inputs are
-read-only.  Damaged lines are quarantined to a sidecar next to the
-input, but the input itself is never rewritten; the content hash is
-computed over the survivors, so re-ingesting a repaired input is still
-a no-op.
+corruption policy, with one rule of the store's own: the store only
+reads.  Damaged lines are skipped and counted, and nothing is written
+next to the input — the input, never rewritten, keeps the evidence
+itself.  The content hash is computed over the survivors, so
+re-ingesting a repaired input is still a no-op.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro.crawler.monitor import MonitorJournal
-from repro.durable import quarantine, scan
+from repro.durable import scan
 from repro.obs.observer import TracingObserver
 from repro.store.db import AnalyticsStore, canonical_json, content_sha256
 
@@ -63,7 +63,7 @@ class IngestResult:
         if self.torn:
             extras.append("torn final line dropped")
         if self.quarantined:
-            extras.append(f"{self.quarantined} corrupt line(s) quarantined")
+            extras.append(f"{self.quarantined} corrupt line(s) skipped")
         tail = f" ({'; '.join(extras)})" if extras else ""
         return f"{self.kind}[{self.label}]: {note}{tail}"
 
@@ -88,17 +88,15 @@ def read_jsonl_tolerant(
     Returns ``(rows, clean_bytes, torn, quarantined)`` where
     ``clean_bytes`` is exactly the surviving lines (the idempotency-key
     material), ``torn`` flags a dropped torn final line, and
-    ``quarantined`` counts interior lines moved to a ``.corrupt``
-    sidecar.  *decode* parses one line (plain JSON objects by default).
+    ``quarantined`` counts the damaged interior lines skipped.  *decode*
+    parses one line (plain JSON objects by default).  Reads only.
     """
     path = Path(path)
     good, bad, torn = scan(path.read_bytes(), decode)
     if bad:
-        sidecar = quarantine(path, bad)
         logger.warning(
-            "quarantined %d corrupt line(s) of %s to sidecar %s; "
-            "ingesting the %d survivors",
-            len(bad), path, sidecar, len(good),
+            "skipped %d corrupt line(s) of %s; ingesting the %d survivors",
+            len(bad), path, len(good),
         )
     rows = [payload for _, payload in good]
     return rows, b"".join(p + b"\n" for p, _ in good), torn, len(bad)
@@ -187,10 +185,10 @@ def _metric_row(ord_: int, series: dict) -> tuple:
         ord_, str(series.get("type", "")), str(series.get("name", "")),
         canonical_json(series.get("labels", {})),
         None if histogram else float(series.get("value", 0.0)),
-        float(series["sum"]) if histogram else None,
-        int(series["count"]) if histogram else None,
-        canonical_json(series["edges"]) if histogram else None,
-        canonical_json(series["counts"]) if histogram else None,
+        float(series.get("sum", 0.0)) if histogram else None,
+        int(series.get("count", 0)) if histogram else None,
+        canonical_json(series.get("edges", [])) if histogram else None,
+        canonical_json(series.get("counts", [])) if histogram else None,
     )
 
 
@@ -201,7 +199,8 @@ def ingest_metrics_text(
     """Ingest a metrics JSONL dump (the ``MetricsRegistry.to_jsonl`` text)."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    series = [json.loads(ln) for ln in text.splitlines() if ln]
+    # Lines end at a newline only: a carriage return is JSON whitespace.
+    series = [json.loads(ln) for ln in text.split("\n") if ln]
     sha = content_sha256(text)
     existing = store.find_ingest("metrics", sha)
     if existing is not None:
@@ -324,8 +323,10 @@ def _incident_row(ord_: int, incident: Any) -> tuple:
     if not isinstance(incident, dict):
         incident = incident.jsonable()
     return (
-        ord_, float(incident["t"]), int(incident["canary_version"]),
-        int(incident["restored_version"]), str(incident["reason"]),
+        ord_, float(incident.get("t", 0.0)),
+        int(incident.get("canary_version", 0)),
+        int(incident.get("restored_version", 0)),
+        str(incident.get("reason", "")),
         int(incident.get("disagreements", 0)),
         int(incident.get("canary_scored", 0)),
     )

@@ -154,12 +154,18 @@ def _payloads(path) -> list[dict]:
 
 
 def test_only_start_lines_carry_state(tmp_path, pristine_world, sample):
-    """One start line per crawl_many call; app lines hold only the record."""
+    """After the header, one start line per crawl_many call; app lines
+    hold only the record."""
     crawler = make_crawler(pristine_world)
     with CrawlJournal(tmp_path) as journal:
         crawler.crawl_many(sample[:3], journal=journal)
         crawler.crawl_many(sample[3:5], journal=journal)
-    payloads = _payloads(tmp_path / "journal.jsonl")
+    assert [p.name for p in tmp_path.iterdir()] == ["journal.jsonl"]
+    header, *payloads = _payloads(tmp_path / "journal.jsonl")
+    assert header == {
+        "v": CrawlJournal.FORMAT_VERSION,
+        "fingerprint": crawler.checkpoint_fingerprint(),
+    }
     starts = [p for p in payloads if "state" in p]
     assert [(p["call"], sorted(p)) for p in starts] == [
         (0, ["call", "state", "v"]), (1, ["call", "state", "v"]),
@@ -354,22 +360,49 @@ def test_leftover_snapshot_refused_untouched(tmp_path):
     ]
 
 
+def _old_directories(command: str) -> list[tuple[int, dict[str, bytes]]]:
+    """``(format version, files)`` of directories older builds wrote.
+
+    The v1 format, and the format just before the header line, which
+    kept the fingerprint in a ``meta.json`` beside the journal.
+    """
+    name = "journal.jsonl" if command == "crawl" else "monitor.jsonl"
+    meta = json.dumps(
+        {"format_version": 1, "fingerprint": {"master_seed": TEST_SEED}}
+    ).encode()
+    if command == "crawl":
+        previous, lines = 2, encode_line({"v": 2, "call": 0, "state": {}}) \
+            + encode_line({"v": 2, "call": 0, "app_id": "a",
+                           "record": {"app_id": "a"}})
+    else:
+        previous, lines = 3, encode_line({
+            "v": 3, "app_id": "__plan__", "epoch": 0, "plan": ["a"],
+            "state": {"epoch": 0},
+        })
+    return [
+        (1, {name: _v1_line("a")}),
+        (previous, {name: lines, "meta.json": meta}),
+    ]
+
+
 @pytest.mark.parametrize("command", ["crawl", "monitor"])
 def test_cli_refuses_an_old_checkpoint_in_one_line(tmp_path, capsys, command):
-    directory = tmp_path / "ck"
-    directory.mkdir()
-    name = "journal.jsonl" if command == "crawl" else "monitor.jsonl"
-    (directory / name).write_bytes(_v1_line("a"))
-    code = main([
-        "--scale", str(TEST_SCALE), "--seed", str(TEST_SEED),
-        "--checkpoint", str(directory), "--resume", command,
-    ])
-    assert code != 0
-    err = capsys.readouterr().err.splitlines()
-    assert [line for line in err if line.startswith("repro: error: ")] == [
-        err[-1]
-    ]
-    assert str(directory) in err[-1] and "v1" in err[-1]
+    for version, files in _old_directories(command):
+        directory = tmp_path / f"ck-v{version}"
+        directory.mkdir()
+        for name, data in files.items():
+            (directory / name).write_bytes(data)
+        code = main([
+            "--scale", str(TEST_SCALE), "--seed", str(TEST_SEED),
+            "--checkpoint", str(directory), "--resume", command,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("repro: error: ")] \
+            == [err[-1]]
+        assert str(directory) in err[-1]
+        assert f"holds format v{version} lines" in err[-1]
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == files
 
 
 @pytest.mark.parametrize("command", ["crawl", "monitor"])
@@ -400,15 +433,18 @@ def test_cli_refuses_a_used_or_foreign_checkpoint_in_one_line(
 
 @pytest.mark.parametrize("command", ["crawl", "monitor"])
 def test_cli_leaves_a_refused_damaged_directory_untouched(tmp_path, command):
-    """A damaged directory resumed under another seed is refused as it is.
+    """A damaged directory that cannot resume is refused as it is.
 
-    The fingerprint check comes before the repair: no sidecar, no
-    rewrite, and no progress or quarantine line before the error.
+    An interior line flipped, resumed under another seed: the
+    fingerprint check comes before the repair, so there is no sidecar,
+    no rewrite, and no progress or quarantine line before the error.
+    The header line flipped, resumed under the same seed: nothing shows
+    which configuration wrote the directory, so it is refused too.
     """
-    directory = tmp_path / "ck"
     tail = [command] + (["--epochs", "1"] if command == "monitor" else [])
+    name = "journal.jsonl" if command == "crawl" else "monitor.jsonl"
 
-    def run(seed, *flags):
+    def run(directory, seed, *flags):
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         return subprocess.run(
             [sys.executable, "-m", "repro", "--scale", str(TEST_SCALE),
@@ -417,19 +453,20 @@ def test_cli_leaves_a_refused_damaged_directory_untouched(tmp_path, command):
             cwd=REPO_ROOT, env=env, capture_output=True, check=False,
         )
 
-    assert run(2012).returncode == 0
-    name = "journal.jsonl" if command == "crawl" else "monitor.jsonl"
-    lines = (directory / name).read_bytes().splitlines(keepends=True)
-    mid = len(lines[2]) // 2
-    lines[2] = lines[2][:mid] + b"X" + lines[2][mid + 1:]
-    (directory / name).write_bytes(b"".join(lines))
-    before = {p.name: p.read_bytes() for p in directory.iterdir()}
+    for line, seed in ((2, 3), (0, 2012)):
+        directory = tmp_path / f"ck-line{line}"
+        assert run(directory, 2012).returncode == 0
+        lines = (directory / name).read_bytes().splitlines(keepends=True)
+        mid = len(lines[line]) // 2
+        lines[line] = lines[line][:mid] + b"X" + lines[line][mid + 1:]
+        (directory / name).write_bytes(b"".join(lines))
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
 
-    refused = run(3, "--resume")
-    assert refused.returncode == 2
-    err = refused.stderr.decode().splitlines()
-    assert len(err) == 1 and err[0].startswith("repro: error: ")
-    assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
+        refused = run(directory, seed, "--resume")
+        assert refused.returncode == 2
+        err = refused.stderr.decode().splitlines()
+        assert len(err) == 1 and err[0].startswith("repro: error: ")
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
 
 
 # -- configuration fingerprint ----------------------------------------------

@@ -319,9 +319,10 @@ def test_enospc_mid_append_resumes_byte_identical(
 
     journal = CrawlJournal(chaos_dir)
     # Disk fills while appending the third app's journal line (the
-    # first write is the call's start line).  The append handle opens
-    # lazily, at the first write, so open it here to wrap it.
-    journal._fh = _DiskFullHandle(journal._handle(), fail_at_write=4)
+    # first writes are the header and the call's start line).  The
+    # append handle opens lazily, at the first write, so open it here
+    # to wrap it.
+    journal._fh = _DiskFullHandle(journal._handle(), fail_at_write=5)
     with pytest.raises(OSError) as excinfo:
         make_crawler(pristine_world).crawl_many(apps, journal=journal)
     assert excinfo.value.errno == errno.ENOSPC

@@ -6,7 +6,8 @@ original line in exactly one place, and the survivors must re-scan to
 themselves.  One parametrised test then drives the four readers built
 on the scan (crawl journal, monitor journal, trace ingest, monitor
 history ingest) through the case a crash cannot produce: a corrupt
-complete line before a torn tail.
+complete line before a torn tail.  Last comes the journal's header,
+the configuration fingerprint on its first line.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.crawler.checkpoint import CrawlJournal
 from repro.crawler.monitor import MonitorJournal
 from repro.durable import (
     ConfigMismatchError,
-    check_fingerprint,
     decode_line,
     encode_line,
     scan,
@@ -126,7 +126,7 @@ def test_only_the_unterminated_tail_is_torn():
 
 def _entry(app_id: str) -> dict:
     return {
-        "v": 3, "app_id": app_id, "epoch": 0,
+        "v": 4, "app_id": app_id, "epoch": 0,
         "record": {"app_id": app_id, "summary_ok": True},
         "events": [], "state": {"epoch": 1},
     }
@@ -134,7 +134,7 @@ def _entry(app_id: str) -> dict:
 
 def _crawl_entry(app_id: str) -> dict:
     return {
-        "v": 2, "call": 0, "app_id": app_id,
+        "v": 3, "call": 0, "app_id": app_id,
         "record": {"app_id": app_id, "summary_ok": True},
     }
 
@@ -154,7 +154,7 @@ def _open_crawl_journal(directory: Path, store):
     """Open, then write once (a start line): the write repairs first."""
     with CrawlJournal(directory) as journal:
         journal.begin({})
-    written = encode_line({"v": 2, "call": 0, "state": {}})
+    written = encode_line({"v": 3, "call": 0, "state": {}})
     return journal.quarantined, journal.truncated_torn_line, written
 
 
@@ -163,7 +163,7 @@ def _open_monitor_journal(directory: Path, store):
     with MonitorJournal(directory) as journal:
         journal.append_plan(1, [], {"epoch": 1})
     written = encode_line({
-        "v": 3, "app_id": MonitorJournal.PLAN_SENTINEL, "epoch": 1,
+        "v": 4, "app_id": MonitorJournal.PLAN_SENTINEL, "epoch": 1,
         "plan": [], "state": {"epoch": 1},
     })
     return journal.quarantined, journal.truncated_torn_line, written
@@ -206,28 +206,64 @@ def test_corrupt_line_before_torn_tail_is_quarantined(
         quarantined, torn, written = reader(directory, store)
     assert quarantined == 1
     assert torn
-    assert path.with_name(name + ".corrupt").read_bytes() == bad
-    # A journal's first write absorbs the damage before it appends; the
-    # store never rewrites its inputs.
-    assert path.read_bytes() == (good + written if rewrites else damaged)
+    # A journal's first write moves the damage to a sidecar before it
+    # appends; the store only reads.
+    if rewrites:
+        assert path.with_name(name + ".corrupt").read_bytes() == bad
+        assert path.read_bytes() == good + written
+    else:
+        assert [p.name for p in directory.iterdir()] == [name]
+        assert path.read_bytes() == damaged
 
 
-# -- the fingerprint stamp -----------------------------------------------------
+# -- the header: the configuration fingerprint on the first line ----------------
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "kind", [CrawlJournal, MonitorJournal], ids=["crawl", "monitor"]
+)
+def test_the_header_is_the_first_write_and_must_lead(tmp_path, kind):
+    """A fresh directory gets one header line and nothing beside it; a
+    mismatch, or lines with no header before them, are refused untouched."""
+    with kind(tmp_path) as journal:
+        journal.check_fingerprint({"seed": 1})
+        journal.check_fingerprint({"seed": 1})  # a match writes nothing
+    header = encode_line({"v": kind.FORMAT_VERSION, "fingerprint": {"seed": 1}})
+    assert _files(tmp_path) == {kind.JOURNAL_NAME: header}
+    with kind(tmp_path) as reopened:
+        assert reopened.quarantined == 0  # the header is not an entry
+        with pytest.raises(ConfigMismatchError, match="different configuration"):
+            reopened.check_fingerprint({"seed": 2})
+    assert _files(tmp_path) == {kind.JOURNAL_NAME: header}
+
+    line = encode_line(_crawl_entry("a") if kind is CrawlJournal else _entry("a"))
+    headless = {kind.JOURNAL_NAME: line + encode_line({"v": 0})[:20]}
+    (tmp_path / kind.JOURNAL_NAME).write_bytes(headless[kind.JOURNAL_NAME])
+    with kind(tmp_path) as journal:
+        with pytest.raises(ConfigMismatchError, match="no intact configuration"):
+            journal.check_fingerprint({"seed": 1})
+    assert _files(tmp_path) == headless
 
 
 def test_a_fingerprint_from_another_build_is_named_as_such(tmp_path):
     """Other fields where sections nest mean another build; a leaf key
     that follows a setting (blackout windows) is a settings change."""
-    meta = tmp_path / "meta.json"
     plan = {"fault_rate": 0.2, "seed": 1}
-    check_fingerprint(meta, {"crawler": {"seed": 1, "fault_plan": plan}}, "log")
+    with CrawlJournal(tmp_path) as journal:
+        journal.check_fingerprint({"crawler": {"seed": 1, "fault_plan": plan}})
     windows = dict(plan, blackout_windows=[[0.0, 60.0]])
+    journal = CrawlJournal(tmp_path)
     with pytest.raises(ConfigMismatchError, match="different configuration"):
-        check_fingerprint(
-            meta, {"crawler": {"seed": 1, "fault_plan": windows}}, "log"
+        journal.check_fingerprint(
+            {"crawler": {"seed": 1, "fault_plan": windows}}
         )
     with pytest.raises(ConfigMismatchError, match="another build") as excinfo:
-        check_fingerprint(meta, {
+        journal.check_fingerprint({
             "crawler": {"seed": 1, "transport": "X", "fault_plan": plan},
-        }, "log")
+        })
+    journal.close()
     assert "original settings" not in str(excinfo.value)

@@ -358,7 +358,7 @@ class TestKillAnywhereResume:
 class TestJournalQuarantine:
     def payload(self, epoch, app_id, **extra):
         base = {
-            "v": 3,
+            "v": 4,
             "app_id": app_id,
             "epoch": epoch,
             "record": {"app_id": app_id, "summary_ok": True},
@@ -522,7 +522,7 @@ class TestJournalFormat:
                 (epoch, plan[-1], epoch + 1),
             ]
         assert carriers == expected
-        assert {e["v"] for e in journal.entries} == {3}
+        assert {e["v"] for e in journal.entries} == {4}
         assert not any("assessment" in e for e in journal.entries)
 
 
@@ -758,4 +758,4 @@ class TestMonitorCli:
         ]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("repro: error:")
-        assert "v2" in err[0] and "v3" in err[0]
+        assert "v2" in err[0] and "v4" in err[0]

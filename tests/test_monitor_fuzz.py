@@ -12,7 +12,12 @@ directory.  Whatever was lost is re-crawled.  The resumed monitor
 history holds the control's entries (keyed by ``(epoch, app_id)``,
 crawler state aside), and the exported dataset and the schedule are
 byte-identical; the resumed crawl returns the control's records and
-leaves the control's journal lines, keyed by call and app.
+leaves the control's journal lines, keyed by call and app.  Line 0 is
+the header, the configuration fingerprint: a cut there resumes like
+any other, while a flipped byte leaves nothing to prove which
+configuration wrote the rest, so the resume is refused with
+:class:`~repro.durable.ConfigMismatchError` and the directory is left
+untouched.
 
 The structured cases pin the damage that needs the replay of a
 durable prefix: a hole inside an early epoch or call (the re-crawl
@@ -30,12 +35,18 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.crawler.checkpoint import CrawlJournal, record_to_jsonable
 from repro.crawler.crawler import make_crawler
 from repro.crawler.monitor import AppMonitor, MonitorConfig, MonitorJournal
-from repro.durable import ReplayError, canonical, decode_line, encode_line
+from repro.durable import (
+    ConfigMismatchError,
+    ReplayError,
+    canonical,
+    decode_line,
+    encode_line,
+)
 
 from tests.test_monitor import app_ids, build_world  # noqa: F401 - fixture
 
@@ -79,10 +90,13 @@ def crawl(app_ids, directory: Path) -> bytes:
 
 
 def crawl_lines(directory: Path) -> dict:
-    """A crawl journal's lines keyed by ``(call, app_id)`` (None: start)."""
+    """A crawl journal's lines keyed by ``(call, app_id)``.
+
+    A start line's app is None, and so are both of the header's keys.
+    """
     raw = (directory / CrawlJournal.JOURNAL_NAME).read_bytes()
     payloads = [decode_line(piece) for piece in raw.splitlines()]
-    return {(p["call"], p.get("app_id")): p for p in payloads}
+    return {(p.get("call"), p.get("app_id")): p for p in payloads}
 
 
 @pytest.fixture(scope="module")
@@ -165,14 +179,18 @@ def resume_crawl_and_check(app_ids, control, raw: bytes) -> None:
         assert crawl_lines(directory) == control["keyed"]
 
 
-CHECKS = {"monitor": resume_and_check, "crawl": resume_crawl_and_check}
+#: per journal: (resume and check, start a resume over a directory)
+CHECKS = {
+    "monitor": (resume_and_check, fresh),
+    "crawl": (resume_crawl_and_check, crawl),
+}
 
 
 @pytest.fixture(scope="module", params=list(CHECKS))
 def journal_case(request):
-    """``(control, resume-and-check)`` of one journal."""
+    """``(control, resume-and-check, start)`` of one journal."""
     name = "control" if request.param == "monitor" else "crawl_control"
-    return request.getfixturevalue(name), CHECKS[request.param]
+    return (request.getfixturevalue(name), *CHECKS[request.param])
 
 
 @given(
@@ -180,15 +198,25 @@ def journal_case(request):
     offset=st.integers(min_value=0),
     flip=st.none() | st.integers(1, 255),
 )
+@example(line=0, offset=40, flip=None)  # a cut inside the header
+@example(line=0, offset=70, flip=0x20)  # a flipped byte in the header
 @settings(deadline=None, max_examples=20)
 def test_any_cut_or_flipped_byte_resumes_to_the_control(
     app_ids, journal_case, line, offset, flip
 ):
-    control, check = journal_case
+    control, check, start = journal_case
     lines = control["lines"]
     line %= len(lines)
     offset %= len(lines[line])
-    check(app_ids, control, damage(control, line, offset, flip))
+    raw = damage(control, line, offset, flip)
+    if line > 0 or flip is None:
+        check(app_ids, control, raw)
+        return
+    with damaged_directory(control, raw) as directory:
+        with pytest.raises(ConfigMismatchError, match="no intact"):
+            start(app_ids, directory)
+        assert [p.name for p in directory.iterdir()] == [control["journal"]]
+        assert (directory / control["journal"]).read_bytes() == raw
 
 
 def _line_roles(control) -> dict[str, int]:
@@ -196,7 +224,9 @@ def _line_roles(control) -> dict[str, int]:
     payloads = [
         json.loads(piece.split(b"\t", 1)[1]) for piece in control["lines"]
     ]
-    plans = [i for i, p in enumerate(payloads) if p["app_id"] == "__plan__"]
+    plans = [
+        i for i, p in enumerate(payloads) if p.get("app_id") == "__plan__"
+    ]
     assert len(plans) == CONFIG.epochs
     return {
         # an interior observation of epoch 0: its re-crawl is appended
@@ -241,12 +271,12 @@ def test_a_replay_that_disagrees_with_its_line_raises(app_ids, control):
 
 def _crawl_line_roles(control) -> dict[str, int]:
     """Line indexes by role in the crawl control journal."""
-    calls = [
-        json.loads(piece.split(b"\t", 1)[1])["call"]
+    calls = [  # the header, line 0, counts as call -1
+        json.loads(piece.split(b"\t", 1)[1]).get("call", -1)
         for piece in control["lines"]
     ]
     starts = [calls.index(call) for call in range(CRAWL_CALLS)]
-    assert starts == [0, calls.index(1)] and calls == sorted(calls)
+    assert starts == [1, calls.index(1)] and calls == sorted(calls)
     return {
         # the first call's start state: the re-run writes it afresh
         "call0-start": starts[0],

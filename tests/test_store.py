@@ -6,9 +6,9 @@ The contracts under test (see :mod:`repro.store.db`):
 * re-offering an already-ingested artifact changes **zero file bytes**;
 * two fresh stores built by the same ingest sequence are byte-identical
   files;
-* torn/corrupt inputs are absorbed the way the crawl WAL absorbs its
-  journal (final line truncated, interior lines quarantined to a
-  ``.corrupt`` sidecar);
+* torn/corrupt inputs are read the way the crawl WAL reads its journal
+  (final line truncated, interior lines skipped), and the store only
+  reads: an input's directory is left byte for byte as it was;
 * ``ServiceReport.snapshot()`` JSON-round-trips and rebuilds
   :meth:`summary` byte-for-byte;
 * the stored-data queries agree with the in-process tallies, and
@@ -45,6 +45,7 @@ from repro.store import (
     campaign_timeline,
     census,
     ingest_incidents,
+    ingest_metrics,
     ingest_metrics_text,
     ingest_monitor_history,
     ingest_service_report,
@@ -56,6 +57,7 @@ from repro.store import (
     version_mix,
 )
 from repro.store.db import StoreSchemaError
+from repro.store.ingest import _json_object
 
 from tests.conftest import TEST_SCALE, TEST_SEED
 
@@ -92,6 +94,10 @@ METRICS_TEXT = (
 
 def file_sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def files(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
 @pytest.fixture(scope="module")
@@ -252,20 +258,23 @@ class TestCorruptInputs:
             clean.write_text(TRACE_TEXT)
             assert ingest_trace(store, clean).skipped
 
-    def test_interior_corruption_is_quarantined_to_sidecar(self, tmp_path):
+    def test_interior_corruption_is_skipped_and_the_input_left_untouched(
+        self, tmp_path
+    ):
         lines = TRACE_TEXT.splitlines()
-        trace_file = tmp_path / "trace.jsonl"
+        trace_file = tmp_path / "in" / "trace.jsonl"
+        trace_file.parent.mkdir()
         trace_file.write_text(
             lines[0] + "\n" + "NOT JSON \x00garbage\n" + lines[1] + "\n"
         )
+        before = files(trace_file.parent)
         with AnalyticsStore(tmp_path / "s.sqlite") as store:
-            result = ingest_trace(store, trace_file)
-            assert result.quarantined == 1 and not result.torn
-            assert result.rows == 3
-            sidecar = tmp_path / "trace.jsonl.corrupt"
-            assert sidecar.read_text() == "NOT JSON \x00garbage\n"
-            # input file itself is never rewritten
-            assert "garbage" in trace_file.read_text()
+            for _ in range(3):
+                result = ingest_trace(store, trace_file)
+                assert result.quarantined == 1 and not result.torn
+                assert result.rows == 3
+        # no sidecar, no rewrite: the input keeps the evidence itself
+        assert files(trace_file.parent) == before
 
 
 # -- serve snapshots ----------------------------------------------------------
@@ -404,7 +413,9 @@ class TestMonitorIngest:
             ]
             assert ingest_monitor_history(store, tmp_path / "mon").skipped
 
-    def test_corrupt_interior_journal_line_is_quarantined(self, tmp_path):
+    def test_corrupt_interior_journal_line_is_skipped_and_left_in_place(
+        self, tmp_path
+    ):
         path = write_monitor_journal(tmp_path / "mon", [
             observation(0, "a", True),
             observation(0, "b", True),
@@ -412,14 +423,17 @@ class TestMonitorIngest:
         raw = path.read_bytes().split(b"\n")
         raw[0] = b"0" * 64 + b"\t{\"checksum\": \"mismatch\"}"
         path.write_bytes(b"\n".join(raw))
+        before = files(tmp_path / "mon")
         with AnalyticsStore(tmp_path / "s.sqlite") as store:
-            result = ingest_monitor_history(store, tmp_path / "mon")
-            assert result.quarantined == 1 and result.rows == 1
-            assert (tmp_path / "mon" / "monitor.jsonl.corrupt").exists()
+            for _ in range(3):
+                result = ingest_monitor_history(store, tmp_path / "mon")
+                assert result.quarantined == 1 and result.rows == 1
+        assert files(tmp_path / "mon") == before
 
 
-#: a small history: a plan line, then two epochs of two apps
+#: a small history: the header, a plan line, then two epochs of two apps
 HISTORY = [
+    {"v": 1, "fingerprint": {"monitor": {"epochs": 2}}},
     {"v": 1, "app_id": "__plan__", "epoch": 0, "plan": ["a", "b"],
      "state": {}},
     observation(0, "a", True),
@@ -433,27 +447,60 @@ HISTORY = [
 ]
 
 
+INCIDENTS_TEXT = "".join(
+    json.dumps(incident, sort_keys=True) + "\n" for incident in (
+        {"t": 120.5, "canary_version": 2, "restored_version": 1,
+         "reason": "disagreement", "disagreements": 7, "canary_scored": 40},
+        {"t": 900.0, "canary_version": 3, "restored_version": 1,
+         "reason": "error_rate"},
+    )
+)
+
+#: every JSONL reader of the store: (input file name, clean input, the
+#: reader's line decode, the ingest of the file)
+READERS = {
+    "monitor-history": (
+        MonitorJournal.JOURNAL_NAME,
+        b"".join(encode_line(entry) for entry in HISTORY),
+        MonitorJournal.decode,
+        lambda store, path: ingest_monitor_history(
+            store, path.parent, label="input"
+        ),
+    ),
+    "trace": ("trace.jsonl", TRACE_TEXT.encode(), _json_object,
+              lambda store, path: ingest_trace(store, path, label="input")),
+    "metrics": ("metrics.jsonl", METRICS_TEXT.encode(), _json_object,
+                lambda store, path: ingest_metrics(store, path, label="input")),
+    "incidents": ("incidents.jsonl", INCIDENTS_TEXT.encode(), _json_object,
+                  lambda store, path: ingest_incidents(
+                      store, path, label="input")),
+}
+
+
+@pytest.mark.parametrize("reader", list(READERS))
 @given(data=st.data(), flip=st.none() | st.integers(1, 255))
 @settings(deadline=None, max_examples=40)
-def test_a_damaged_history_ingests_as_its_scan_survivors(data, flip):
-    """Cut or flip any byte: the store sees exactly what the scan keeps."""
-    raw = b"".join(encode_line(entry) for entry in HISTORY)
+def test_a_damaged_history_ingests_as_its_scan_survivors(reader, data, flip):
+    """Cut or flip any byte: the store sees exactly what the scan keeps,
+    and the damaged input's directory is left as it was."""
+    name, raw, decode, ingest = READERS[reader]
     at = data.draw(st.integers(0, len(raw) - 1))
     if flip is None:
         damaged = raw[:at]
     else:
         damaged = raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1:]
-    good, _, _ = scan(damaged, MonitorJournal.decode)
+    good, _, _ = scan(damaged, decode)
     survivors = b"".join(line + b"\n" for line, _ in good)
     with tempfile.TemporaryDirectory() as scratch:
         images = []
-        for name, journal in (("damaged", damaged), ("survivors", survivors)):
-            directory = Path(scratch) / name
+        for label, journal in (("damaged", damaged), ("survivors", survivors)):
+            directory = Path(scratch) / label
             directory.mkdir()
-            (directory / MonitorJournal.JOURNAL_NAME).write_bytes(journal)
-            with AnalyticsStore(Path(scratch) / f"{name}.sqlite") as store:
-                ingest_monitor_history(store, directory, label="history")
+            (directory / name).write_bytes(journal)
+            with AnalyticsStore(Path(scratch) / f"{label}.sqlite") as store:
+                ingest(store, directory / name)
                 images.append(store.canonical_bytes())
+            assert files(directory) == {name: journal}
     assert images[0] == images[1]
 
 
