@@ -2,9 +2,8 @@
 
 The paper's conclusion envisions "an independent watchdog for app
 assessment and ranking, so as to warn Facebook users before installing
-apps."  This example runs that service: it trains FRAppE, bulk-assesses
-a mixed population, prints the risk ranking with human-readable
-advisories, and shows the caching behaviour a production service needs.
+apps."  This example trains FRAppE, crawls and assesses a mixed
+population, and prints the risk ranking with human-readable advisories.
 
 Run:  python examples/app_ranking.py
 """
@@ -23,31 +22,25 @@ def main() -> None:
     )
     records, labels = result.sample_records()
     classifier = frappe(result.extractor).fit(records, labels)
-    watchdog = AppWatchdog(
-        classifier, result.extractor, AppCrawler(result.world)
-    )
+    crawler = AppCrawler(result.world)
+    watchdog = AppWatchdog(classifier, result.extractor, crawler.stats)
 
-    # Bulk-assess a random slice of the whole observed population.
+    # Assess a random slice of the whole observed population.
     rng = np.random.default_rng(2)
     population = sorted(result.bundle.d_total)
     sample = [population[i] for i in rng.choice(len(population), 60, replace=False)]
-    watchdog.bulk_assess(sample, day=400)
+    assessments = [
+        watchdog.assess_record(crawler.crawl_app(app_id)) for app_id in sorted(sample)
+    ]
+    ranking = sorted(assessments, key=lambda a: a.risk_score, reverse=True)
 
-    print(f"\nAssessed {watchdog.cached_count()} apps. "
-          "The ten riskiest:\n")
-    for assessment in watchdog.ranking(top=10):
+    print(f"\nAssessed {len(assessments)} apps. The ten riskiest:\n")
+    for assessment in ranking[:10]:
         print(assessment.summary())
         print()
 
-    # The cache avoids re-crawling until assessments go stale.
-    app_id = sample[0]
-    again = watchdog.assess(app_id, day=401)
-    assert again is watchdog.assess(app_id, day=402)
-    print(f"(cached verdicts are reused for "
-          f"{watchdog.max_staleness_days} days before a re-crawl)")
-
     truth = result.world.truth_malicious_ids()
-    risky = [a for a in watchdog.ranking(top=len(sample)) if a.is_risky]
+    risky = [a for a in ranking if a.is_risky]
     hits = sum(1 for a in risky if a.app_id in truth)
     print(f"\nOf {len(risky)} high-risk verdicts, {hits} are truly "
           "malicious (per the simulation's hidden labels).")

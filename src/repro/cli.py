@@ -439,17 +439,18 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.crawler.crawler import make_crawler
 
     result = FrappePipeline(_config(args)).run(sweep_unlabelled=False)
-    watchdog = AppWatchdog(
-        result.classifier, result.extractor, make_crawler(result.world)
-    )
+    crawler = make_crawler(result.world)
+    watchdog = AppWatchdog(result.classifier, result.extractor, crawler.stats)
     app_ids = list(args.app_ids)
     if not app_ids:
         rng = np.random.default_rng(args.seed)
         everything = sorted(result.bundle.d_total)
         chosen = rng.choice(len(everything), size=args.sample, replace=False)
         app_ids = [everything[i] for i in chosen]
-    for assessment in watchdog.bulk_assess(app_ids, day=400):
-        print(assessment.summary())
+    # Each distinct app is crawled once; a repeated ID prints again.
+    records = {app_id: crawler.crawl_app(app_id) for app_id in sorted(set(app_ids))}
+    for app_id in sorted(app_ids):
+        print(watchdog.assess_record(records[app_id]).summary())
     return 0
 
 

@@ -1,28 +1,31 @@
-"""The independent app watchdog (the paper's long-term vision).
+"""The independent app watchdog's scorer (the paper's long-term vision).
 
 The conclusion frames FRAppE as "a step towards creating an independent
 watchdog for app assessment and ranking, so as to warn Facebook users
-before installing apps."  This module builds that service on top of a
-trained classifier:
+before installing apps."  The online half of that watchdog is
+:class:`repro.service.VerdictService`: it crawls, caches verdicts, and
+serves the last cached verdict at confidence ``"stale"`` when a live
+crawl cannot support even FRAppE Lite (``VerdictCache.last_resort``).
+This module is the stateless scorer it and ``repro evaluate`` share.
+Given a crawled record it returns
 
-* a calibrated **risk score** in [0, 100] per app (sigmoid of the SVM
-  margin, rescaled so the decision boundary maps to 50),
-* an **assessment cache** with explicit re-crawl staleness,
-* a **ranking** of the riskiest apps,
+* a calibrated **risk score** in [0, 100] (sigmoid of the SVM margin,
+  rescaled so the decision boundary maps to 50),
 * human-readable **advisories** explaining which features drove the
   verdict, and
-* a **confidence tier** per assessment: a verdict computed from a
-  partially failed crawl (transient give-ups, not authoritative
-  removals) is served with degraded confidence rather than presented
-  as if every feature had been observed — and a re-crawl that fails
-  outright degrades the *cached* verdict's confidence instead of
-  silently serving stale data.
+* a **confidence tier**: a verdict computed from a partially failed
+  crawl (transient give-ups, not authoritative removals) is served with
+  degraded confidence rather than presented as if every feature had
+  been observed.
+
+It keeps no cache and never crawls; a ranking is a sort of the
+assessments it returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.features import (
     CONFIDENCE_BY_TIER,
@@ -30,10 +33,14 @@ from repro.core.features import (
     classification_tier,
 )
 from repro.core.frappe import FrappeCascade, FrappeClassifier
-from repro.crawler.crawler import AppCrawler, CrawlRecord
+from repro.crawler.crawler import CrawlRecord
 from repro.obs.observer import get_observer
+from repro.platform.transport import TransportStats
 
 __all__ = ["AppAssessment", "AppWatchdog"]
+
+#: slope of the margin -> risk sigmoid
+MARGIN_SCALE = 1.5
 
 #: Feature -> human explanation used in advisories.  The predicate
 #: receives the feature's raw value and says whether it is suspicious.
@@ -69,16 +76,14 @@ _DEGRADED_NOTES: dict[str, str] = {
 
 @dataclass
 class AppAssessment:
-    """One cached watchdog verdict."""
+    """One watchdog verdict."""
 
     app_id: str
     name: str | None
     risk_score: float  # 0 (safe) .. 100 (malicious), 50 = boundary
-    advisories: list[str] = field(default_factory=list)
-    assessed_day: int = 0
-    #: high | medium | low | none | stale — how much crawl evidence
-    #: backs the score (see features.CONFIDENCE_BY_TIER; "stale" marks
-    #: a cached verdict whose refresh crawl failed)
+    advisories: tuple[str, ...] = ()
+    #: high | medium | low | none — how much crawl evidence backs the
+    #: score (see features.CONFIDENCE_BY_TIER)
     confidence: str = "high"
 
     @property
@@ -100,41 +105,37 @@ class AppAssessment:
 
 
 class AppWatchdog:
-    """Assesses, caches, and ranks apps with a trained classifier.
+    """Scores crawled records with a trained classifier.
 
     Accepts either a plain :class:`FrappeClassifier` (every record is
     scored by the one model, as in the paper) or a
     :class:`FrappeCascade` (degraded records fall back to the best tier
     their surviving collections support).  Either way the assessment
     carries the confidence tier the record's crawl outcomes warrant.
+    ``stats`` is the simulated clock the ``watchdog.assess`` spans are
+    stamped with (the crawler's transport stats).
     """
 
     def __init__(
         self,
         classifier: FrappeClassifier | FrappeCascade,
         extractor: FeatureExtractor,
-        crawler: AppCrawler,
-        max_staleness_days: int = 14,
-        margin_scale: float = 1.5,
+        stats: TransportStats,
     ) -> None:
         self._classifier = classifier
         self._extractor = extractor
-        self._crawler = crawler
-        self.max_staleness_days = max_staleness_days
-        self._margin_scale = margin_scale
-        self._cache: dict[str, AppAssessment] = {}
+        self._stats = stats
 
-    # -- scoring -----------------------------------------------------------
-
-    def risk_from_margin(self, margin: float) -> float:
+    @staticmethod
+    def risk_from_margin(margin: float) -> float:
         """Map the SVM margin to [0, 100] with 50 at the boundary.
 
-        Public because the online verdict service
-        (:mod:`repro.service`) scores every degradation-ladder rung on
-        the same calibrated scale the watchdog uses, so a cached
-        verdict and a freshly computed one are directly comparable.
+        Every verdict the online verdict service (:mod:`repro.service`)
+        serves, on any degradation-ladder rung, is on this one
+        calibrated scale, so a cached verdict and a freshly computed
+        one are directly comparable.
         """
-        return 100.0 / (1.0 + math.exp(-margin * self._margin_scale))
+        return 100.0 / (1.0 + math.exp(-margin * MARGIN_SCALE))
 
     def _margin_and_tier(self, record: CrawlRecord) -> tuple[float, str]:
         if isinstance(self._classifier, FrappeCascade):
@@ -165,16 +166,16 @@ class AppWatchdog:
     def assess_record(
         self,
         record: CrawlRecord,
-        day: int = 0,
         scored: tuple[float, str] | None = None,
     ) -> AppAssessment:
-        """Assess an already crawled record (no caching).
+        """Assess an already crawled record.
 
         ``scored`` optionally supplies an already computed
-        ``(margin, tier)`` pair for *record* from this watchdog's own
-        classifier — the verdict service scores every live record
-        before assessing it, so passing the result through skips a
-        bit-identical re-evaluation of the decision function.
+        ``(margin, tier)`` pair for *record* — the verdict service
+        scores every live record with the model that renders its
+        verdict before assessing it, so the risk score and the verdict
+        always come from the same model, and the decision function is
+        not evaluated twice.
         """
         obs = get_observer()
         span_cm = span = None
@@ -183,7 +184,7 @@ class AppWatchdog:
                 "watchdog.assess",
                 key=record.app_id,
                 category="watchdog",
-                t=self._crawler.stats.elapsed_s,
+                t=self._stats.elapsed_s,
             )
             span = span_cm.__enter__()
         margin, tier = scored if scored is not None else self._margin_and_tier(record)
@@ -194,20 +195,19 @@ class AppWatchdog:
             app_id=record.app_id,
             name=name,
             risk_score=self.risk_from_margin(margin),
-            assessed_day=day,
             confidence=CONFIDENCE_BY_TIER[tier],
         )
-        if assessment.is_risky:
-            assessment.advisories = self._advisories(record, tier)
+        notes = self._advisories(record, tier) if assessment.is_risky else []
         for collection in record.degraded_collections:
-            assessment.advisories.append(_DEGRADED_NOTES[collection])
+            notes.append(_DEGRADED_NOTES[collection])
+        assessment.advisories = tuple(notes)
         if span_cm is not None:
             span.note(
                 tier=tier,
                 risk=round(assessment.risk_score, 3),
                 confidence=assessment.confidence,
             )
-            span.end(self._crawler.stats.elapsed_s)
+            span.end(self._stats.elapsed_s)
             span_cm.__exit__(None, None, None)
             obs.count("watchdog_assessments_total", confidence=assessment.confidence)
             obs.observe(
@@ -216,87 +216,3 @@ class AppWatchdog:
                 edges=(10.0, 25.0, 50.0, 75.0, 90.0),
             )
         return assessment
-
-    # -- the service surface -------------------------------------------------
-
-    def assess(self, app_id: str, day: int = 0) -> AppAssessment:
-        """Crawl-and-assess with caching and staleness-driven re-crawls.
-
-        A stale cache entry triggers a re-crawl.  If the re-crawl comes
-        back with no trustworthy evidence at all (every collection gave
-        up transiently) while a previous verdict exists, the previous
-        verdict is *degraded* — same score, confidence ``"stale"`` —
-        rather than silently served as-is or replaced by a score
-        computed from zeros.
-        """
-        obs = get_observer()
-        cached = self._cache.get(app_id)
-        if cached is not None:
-            staleness = day - cached.assessed_day
-            if staleness <= self.max_staleness_days:
-                if obs.enabled:
-                    obs.count("watchdog_cache_hits_total")
-                    obs.observe(
-                        "watchdog_staleness_days",
-                        float(staleness),
-                        edges=(1.0, 3.0, 7.0, 14.0, 30.0),
-                    )
-                return cached
-            if obs.enabled:
-                obs.event(
-                    "watchdog.stale",
-                    t=self._crawler.stats.elapsed_s,
-                    category="watchdog",
-                    app_id=app_id,
-                    staleness_days=staleness,
-                )
-                obs.observe(
-                    "watchdog_staleness_days",
-                    float(staleness),
-                    edges=(1.0, 3.0, 7.0, 14.0, 30.0),
-                )
-        span_cm = None
-        if obs.enabled:
-            span_cm = obs.span(
-                "watchdog.recrawl",
-                key=app_id,
-                category="watchdog",
-                t=self._crawler.stats.elapsed_s,
-            )
-            span = span_cm.__enter__()
-            obs.count("watchdog_recrawls_total")
-        record = self._crawler.crawl_app(app_id)
-        if span_cm is not None:
-            span.note(degraded=record.degraded)
-            span.end(self._crawler.stats.elapsed_s)
-            span_cm.__exit__(None, None, None)
-        if cached is not None and classification_tier(record) == "none":
-            if obs.enabled:
-                obs.count("watchdog_stale_degradations_total")
-            degraded = AppAssessment(
-                app_id=cached.app_id,
-                name=cached.name,
-                risk_score=cached.risk_score,
-                advisories=list(cached.advisories)
-                + ["re-crawl failed; verdict may be out of date"],
-                assessed_day=day,
-                confidence="stale",
-            )
-            self._cache[app_id] = degraded
-            return degraded
-        assessment = self.assess_record(record, day=day)
-        self._cache[app_id] = assessment
-        return assessment
-
-    def cached_count(self) -> int:
-        return len(self._cache)
-
-    def ranking(self, top: int = 10) -> list[AppAssessment]:
-        """The riskiest cached apps, most dangerous first."""
-        ordered = sorted(
-            self._cache.values(), key=lambda a: a.risk_score, reverse=True
-        )
-        return ordered[:top]
-
-    def bulk_assess(self, app_ids, day: int = 0) -> list[AppAssessment]:
-        return [self.assess(app_id, day=day) for app_id in sorted(app_ids)]

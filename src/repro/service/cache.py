@@ -25,7 +25,7 @@ reads the :class:`~repro.platform.transport.TransportStats` clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["CacheEntry", "VerdictCache", "FRESH", "STALE", "EXPIRED", "MISS"]
 
@@ -44,7 +44,7 @@ class CacheEntry:
     risk_score: float
     confidence: str
     rung: str
-    advisories: list[str] = field(default_factory=list)
+    advisories: tuple[str, ...] = ()
     stored_s: float = 0.0
     #: authoritative PERMANENT removal (negative entry, longer TTL)
     negative: bool = False

@@ -262,7 +262,7 @@ class ServiceReport:
         responses = [
             VerdictResponse(**{
                 name: (
-                    list(row.get(name, [])) if name == "advisories"
+                    tuple(row.get(name, ())) if name == "advisories"
                     else row[name]
                 )
                 for name in cls._RESPONSE_FIELDS
@@ -371,9 +371,9 @@ class VerdictService:
         self._bulkhead = Bulkhead(
             dict(self.config.bulkhead_fractions), executor
         )
-        # The watchdog supplies calibrated risk scores and advisories;
-        # its own crawl/cache surface is not used by the service.
-        self._watchdog = AppWatchdog(cascade, extractor, self._crawler)
+        # The watchdog scores; caching and the stale rule are the
+        # VerdictCache's alone.
+        self._watchdog = AppWatchdog(cascade, extractor, self._crawler.stats)
         self.cache = VerdictCache(
             ttl_s=self.config.cache_ttl_s,
             stale_ttl_s=self.config.cache_stale_ttl_s,
@@ -869,7 +869,7 @@ class VerdictService:
             confidence=entry.confidence if rung == RUNG_CACHED else "stale",
             priority=request.priority,
             reason=reason,
-            advisories=list(entry.advisories),
+            advisories=entry.advisories,
             cache_state=cache_state,
             arrival_s=request.arrival_s,
             started_s=started,
@@ -997,16 +997,14 @@ class VerdictService:
         finished: float,
     ) -> VerdictResponse:
         attempts, faults = self._crawl_effort(record)
-        # The service already scored this record; hand the (margin,
-        # tier) through so the watchdog skips a bit-identical
-        # re-evaluation.  Under a rollout the watchdog keeps its own
-        # static cascade's view (the margin may have come from a canary
-        # model), so the pass-through is withheld there.
-        scored = (margin, tier) if self.rollout is None else None
         if tier in _TIER_RUNG:
             if shadow_prediction is not None:
                 self._account_canary(prediction, shadow_prediction)
-            assessment = self._watchdog.assess_record(record, scored=scored)
+            # (margin, tier) come from the model that renders the
+            # verdict, so the risk score always agrees with it.
+            assessment = self._watchdog.assess_record(
+                record, scored=(margin, tier)
+            )
             if shadow_prediction is None:
                 # Only champion verdicts are cached: a canary on
                 # probation must never leave verdicts behind that a
@@ -1017,7 +1015,7 @@ class VerdictService:
                     risk_score=assessment.risk_score,
                     confidence=assessment.confidence,
                     rung=_TIER_RUNG[tier],
-                    advisories=list(assessment.advisories),
+                    advisories=assessment.advisories,
                     model_version=version,
                 )
                 self._store(record, entry, now_s=finished)
@@ -1030,7 +1028,7 @@ class VerdictService:
                 confidence=assessment.confidence,
                 priority=request.priority,
                 reason=self._degradation_reason(record, tier),
-                advisories=list(assessment.advisories),
+                advisories=assessment.advisories,
                 cache_state=cache_state,
                 arrival_s=request.arrival_s,
                 started_s=started,
@@ -1058,7 +1056,7 @@ class VerdictService:
                     + "; serving the last cached verdict "
                     f"({resort.age_s(finished):.0f}s old)"
                 ),
-                advisories=list(resort.advisories),
+                advisories=resort.advisories,
                 cache_state=cache_state,
                 arrival_s=request.arrival_s,
                 started_s=started,
@@ -1069,7 +1067,9 @@ class VerdictService:
                 model_version=resort.model_version,
             )
         if tier == "summary_only":
-            assessment = self._watchdog.assess_record(record, scored=scored)
+            assessment = self._watchdog.assess_record(
+                record, scored=(margin, tier)
+            )
             return VerdictResponse(
                 app_id=request.app_id,
                 outcome=SERVED,
@@ -1080,7 +1080,7 @@ class VerdictService:
                 priority=request.priority,
                 reason=self._degradation_reason(record, tier)
                 + "; summary-only advisory",
-                advisories=list(assessment.advisories),
+                advisories=assessment.advisories,
                 cache_state=cache_state,
                 arrival_s=request.arrival_s,
                 started_s=started,
@@ -1122,16 +1122,17 @@ class VerdictService:
         finished: float,
     ) -> VerdictResponse:
         attempts, faults = self._crawl_effort(record)
-        scored = (margin, tier) if self.rollout is None else None
         if tier in _TIER_RUNG:
-            assessment = self._watchdog.assess_record(record, scored=scored)
+            assessment = self._watchdog.assess_record(
+                record, scored=(margin, tier)
+            )
             entry = CacheEntry(
                 app_id=request.app_id,
                 verdict=bool(prediction),
                 risk_score=assessment.risk_score,
                 confidence=assessment.confidence,
                 rung=_TIER_RUNG[tier],
-                advisories=list(assessment.advisories),
+                advisories=assessment.advisories,
                 model_version=version,
             )
             self._store(record, entry, now_s=finished)

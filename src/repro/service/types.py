@@ -34,7 +34,7 @@ request: ``full`` → ``lite`` → ``cached`` / ``stale`` → ``advisory`` →
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "INTERACTIVE",
@@ -177,7 +177,7 @@ class VerdictResponse:
     confidence: str = "none"
     priority: str = INTERACTIVE
     reason: str = ""
-    advisories: list[str] = field(default_factory=list)
+    advisories: tuple[str, ...] = ()
     #: fresh | stale | miss | negative | "" (cache not consulted)
     cache_state: str = ""
     arrival_s: float = 0.0

@@ -5,7 +5,7 @@ FRAppE -> FRAppE Lite -> summary-only as transient crawl failures take
 collections away, that *authoritative* missingness (app removed) stays
 on the full-FRAppE path, that the ``client_id_mismatch`` tri-state never
 conflates "unverified" with "mismatch observed", and that the watchdog
-degrades stale cached verdicts instead of silently serving them.
+serves a degraded crawl's verdict with degraded confidence.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.core.frappe import FrappeCascade, frappe
 from repro.core.watchdog import AppWatchdog
 from repro.crawler.crawler import CrawlRecord
 from repro.crawler.resilience import GAVE_UP, OK, PERMANENT, CrawlOutcome
+from repro.platform.transport import TransportStats
 
 
 def record_with(statuses: dict[str, str], **fields) -> CrawlRecord:
@@ -117,7 +118,7 @@ class TestClientIdMismatchTriState:
         # An advisory claiming "hands out a different app's client ID"
         # over a crawl that never saw the install URL would be a lie.
         watchdog = AppWatchdog(
-            cascade, pipeline_result.extractor, crawler=None
+            cascade, pipeline_result.extractor, TransportStats()
         )
         records, labels = pipeline_result.sample_records()
         mismatch_note = "its install URL hands out a different app's client ID"
@@ -176,7 +177,7 @@ class TestFrappeCascade:
 
 class TestWatchdogConfidence:
     def test_confidence_follows_the_tier(self, pipeline_result, cascade):
-        watchdog = AppWatchdog(cascade, pipeline_result.extractor, crawler=None)
+        watchdog = AppWatchdog(cascade, pipeline_result.extractor, TransportStats())
         records, _ = pipeline_result.sample_records()
         record = records[0]
         assert watchdog.assess_record(record).confidence == "high"
@@ -191,7 +192,7 @@ class TestWatchdogConfidence:
             assert f"[confidence: {expected}]" in assessment.summary()
 
     def test_degraded_collections_are_disclosed(self, pipeline_result, cascade):
-        watchdog = AppWatchdog(cascade, pipeline_result.extractor, crawler=None)
+        watchdog = AppWatchdog(cascade, pipeline_result.extractor, TransportStats())
         records, _ = pipeline_result.sample_records()
         degraded = degraded_copy(records[0], "feed")
         assessment = watchdog.assess_record(degraded)
@@ -199,87 +200,6 @@ class TestWatchdogConfidence:
             "profile-feed crawl could not be completed" in note
             for note in assessment.advisories
         )
-
-
-class _ScriptedCrawler:
-    """crawl_app returns the queued records, repeating the last one."""
-
-    def __init__(self, *records: CrawlRecord) -> None:
-        self._records = list(records)
-        self.calls = 0
-
-    def crawl_app(self, app_id: str) -> CrawlRecord:
-        self.calls += 1
-        index = min(self.calls - 1, len(self._records) - 1)
-        return copy.deepcopy(self._records[index])
-
-
-class TestWatchdogStaleness:
-    def make_watchdog(self, pipeline_result, cascade, *scripted_records):
-        crawler = _ScriptedCrawler(*scripted_records)
-        return (
-            AppWatchdog(
-                cascade,
-                pipeline_result.extractor,
-                crawler,
-                max_staleness_days=14,
-            ),
-            crawler,
-        )
-
-    def base_record(self, pipeline_result):
-        records, labels = pipeline_result.sample_records()
-        return next(r for r, label in zip(records, labels) if label == 1)
-
-    def test_fresh_cache_skips_the_crawl(self, pipeline_result, cascade):
-        record = self.base_record(pipeline_result)
-        watchdog, crawler = self.make_watchdog(pipeline_result, cascade, record)
-        first = watchdog.assess(record.app_id, day=0)
-        again = watchdog.assess(record.app_id, day=10)
-        assert crawler.calls == 1
-        assert again is first
-
-    def test_stale_cache_triggers_a_recrawl(self, pipeline_result, cascade):
-        record = self.base_record(pipeline_result)
-        watchdog, crawler = self.make_watchdog(pipeline_result, cascade, record)
-        watchdog.assess(record.app_id, day=0)
-        refreshed = watchdog.assess(record.app_id, day=30)
-        assert crawler.calls == 2
-        assert refreshed.assessed_day == 30
-        assert refreshed.confidence == "high"
-
-    def test_failed_recrawl_degrades_the_cached_verdict(
-        self, pipeline_result, cascade
-    ):
-        record = self.base_record(pipeline_result)
-        dead_crawl = degraded_copy(record, "summary")
-        watchdog, crawler = self.make_watchdog(
-            pipeline_result, cascade, record, dead_crawl
-        )
-        original = watchdog.assess(record.app_id, day=0)
-        degraded = watchdog.assess(record.app_id, day=30)
-        assert crawler.calls == 2
-        # Same verdict, degraded confidence — not a zero-filled rescore,
-        # not a silently served stale entry.
-        assert degraded.risk_score == original.risk_score
-        assert degraded.confidence == "stale"
-        assert degraded.assessed_day == 30
-        assert any("re-crawl failed" in note for note in degraded.advisories)
-        assert "[confidence: stale]" in degraded.summary()
-        # The degraded entry is cached until it goes stale in turn.
-        assert watchdog.assess(record.app_id, day=35) is degraded
-
-    def test_first_ever_crawl_failing_still_produces_a_verdict(
-        self, pipeline_result, cascade
-    ):
-        # No cached assessment to fall back on: the tier-none record is
-        # assessed (prediction 0, confidence "none") rather than erroring.
-        record = self.base_record(pipeline_result)
-        dead_crawl = degraded_copy(record, "summary")
-        watchdog, crawler = self.make_watchdog(pipeline_result, cascade, dead_crawl)
-        assessment = watchdog.assess(record.app_id, day=0)
-        assert assessment.confidence == "none"
-        assert not assessment.is_risky
 
 
 class TestOutcomeSerialization:

@@ -131,26 +131,24 @@ def test_pipeline_and_batched_serve_identical_with_observation_on():
 
 
 def test_watchdog_assessments_identical_with_observation_on():
-    """The watchdog's spans/metrics (PR 8) only watch: assessments and
-    re-crawl decisions are byte-identical with a tracer installed."""
+    """The watchdog's spans/metrics only watch: assessments are
+    byte-identical with a tracer installed."""
     from repro.core.watchdog import AppWatchdog
     from repro.crawler.crawler import AppCrawler
 
     def assess_run(observer):
         result = FrappePipeline(ScaleConfig(**CHAOS)).run(sweep_unlabelled=False)
-        watchdog = AppWatchdog(
-            result.classifier,
-            result.extractor,
-            AppCrawler(result.world),
-            max_staleness_days=0,  # force the stale -> re-crawl path too
-        )
+        crawler = AppCrawler(result.world)
+        watchdog = AppWatchdog(result.classifier, result.extractor, crawler.stats)
         apps = sorted(result.bundle.d_sample)[:8]
         with observation(observer):
-            first = watchdog.bulk_assess(apps, day=400)
-            second = watchdog.bulk_assess(apps, day=400)  # cache hits
+            assessments = [
+                watchdog.assess_record(crawler.crawl_app(app_id))
+                for app_id in apps
+            ]
         return [
-            (a.app_id, a.risk_score, a.confidence, tuple(a.advisories))
-            for a in first + second
+            (a.app_id, a.risk_score, a.confidence, a.advisories)
+            for a in assessments
         ]
 
     observer = TracingObserver()
@@ -159,9 +157,7 @@ def test_watchdog_assessments_identical_with_observation_on():
     metrics = observer.metrics
     assert metrics.counter_value("watchdog_assessments_total",
                                  confidence="high") > 0
-    assert metrics.counter_value("watchdog_cache_hits_total") > 0
     assert metrics.histogram_of("watchdog_risk_score") is not None
-    assert metrics.histogram_of("watchdog_staleness_days") is not None
 
 
 def test_monitor_epoch_identical_with_observation_on(tmp_path):

@@ -312,3 +312,14 @@ def test_good_canary_is_promoted_end_to_end():
     assert report.rollout["promotions"] == 1
     versions = report.version_rung_counts()
     assert set(versions) <= {1, 2}
+
+
+@pytest.mark.parametrize("kind", ["bad", "good"])
+def test_risk_score_agrees_with_the_verdict_under_a_rollout(kind):
+    # The risk score comes from the model that rendered the verdict,
+    # canary or champion, never from the static cascade.
+    _, report = serve_with_canary(kind)
+    rendered = [r for r in report.responses if r.verdict is not None]
+    assert any(r.model_version == 2 for r in rendered)
+    for response in rendered:
+        assert response.verdict == (response.risk_score > 50.0), response

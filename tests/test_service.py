@@ -364,6 +364,25 @@ class TestVerdictServiceOneShot:
             for outcome in record.outcomes.values()
         )
 
+    def test_failed_crawl_serves_the_last_cached_verdict(self, clean_result):
+        # An expired entry is not served as a hit, but when the live
+        # crawl cannot support even FRAppE Lite it beats advising from
+        # nothing: same score and advisories, confidence "stale".
+        service = make_service(clean_result)
+        app_id = sorted(clean_result.bundle.d_sample_malicious)[0]
+        first = service.score(app_id)
+        assert first.rung == RUNG_FULL and first.advisories
+        cached = service.cache.last_resort(app_id)
+        service.stats.add_wait(service.config.cache_stale_ttl_s + 1.0)
+        response = service.score(app_id, deadline_s=0.5)
+        assert response.cache_state == "expired"
+        assert response.rung == RUNG_STALE
+        assert response.confidence == "stale"
+        assert response.verdict == first.verdict
+        assert response.risk_score == cached.risk_score == first.risk_score
+        assert response.advisories is cached.advisories
+        assert "serving the last cached verdict" in response.reason
+
     def test_queue_aged_requests_expire_with_a_typed_outcome(self, clean_result):
         service = make_service(clean_result)
         app_id = sorted(clean_result.bundle.d_sample)[0]

@@ -13,53 +13,43 @@ from repro.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
-def watchdog(pipeline_result):
+def assessments(pipeline_result):
+    """Fresh crawls of 15 malicious and 15 benign D-Sample apps, scored."""
     records, labels = pipeline_result.sample_records()
     classifier = frappe(pipeline_result.extractor).fit(records, labels)
-    return AppWatchdog(
-        classifier,
-        pipeline_result.extractor,
-        AppCrawler(pipeline_result.world),
-    )
+    crawler = AppCrawler(pipeline_result.world)
+    watchdog = AppWatchdog(classifier, pipeline_result.extractor, crawler.stats)
+    bundle = pipeline_result.bundle
+    return {
+        label: [
+            watchdog.assess_record(crawler.crawl_app(app_id))
+            for app_id in sorted(app_ids)[:15]
+        ]
+        for label, app_ids in (
+            ("malicious", bundle.d_sample_malicious),
+            ("benign", bundle.d_sample_benign),
+        )
+    }
 
 
 class TestWatchdog:
-    def test_scores_separate_the_classes(self, watchdog, pipeline_result):
-        bundle = pipeline_result.bundle
-        malicious = sorted(bundle.d_sample_malicious)[:15]
-        benign = sorted(bundle.d_sample_benign)[:15]
-        malicious_scores = [watchdog.assess(a).risk_score for a in malicious]
-        benign_scores = [watchdog.assess(a).risk_score for a in benign]
+    def test_scores_separate_the_classes(self, assessments):
+        malicious_scores = [a.risk_score for a in assessments["malicious"]]
+        benign_scores = [a.risk_score for a in assessments["benign"]]
         assert np.mean(malicious_scores) > np.mean(benign_scores) + 30
         assert all(0 <= s <= 100 for s in malicious_scores + benign_scores)
 
-    def test_risky_assessments_carry_advisories(self, watchdog, pipeline_result):
-        risky = [
-            a for a in watchdog.ranking(top=5) if a.is_risky
-        ]
+    def test_risky_assessments_carry_advisories(self, assessments):
+        risky = [a for a in assessments["malicious"] if a.is_risky]
         assert risky
         for assessment in risky:
             assert assessment.advisories
             assert "HIGH RISK" in assessment.summary()
 
-    def test_cache_and_staleness(self, watchdog, pipeline_result):
-        app_id = next(iter(pipeline_result.bundle.d_sample_benign))
-        first = watchdog.assess(app_id, day=0)
-        cached = watchdog.assess(app_id, day=watchdog.max_staleness_days)
-        assert cached is first
-        refreshed = watchdog.assess(app_id, day=watchdog.max_staleness_days + 1)
-        assert refreshed is not first
-        assert refreshed.assessed_day > first.assessed_day
-
-    def test_ranking_is_sorted(self, watchdog):
-        ranking = watchdog.ranking(top=10)
-        scores = [a.risk_score for a in ranking]
-        assert scores == sorted(scores, reverse=True)
-
-    def test_decision_boundary_maps_to_50(self, watchdog):
-        assert watchdog.risk_from_margin(0.0) == pytest.approx(50.0)
-        assert watchdog.risk_from_margin(5.0) > 95
-        assert watchdog.risk_from_margin(-5.0) < 5
+    def test_decision_boundary_maps_to_50(self):
+        assert AppWatchdog.risk_from_margin(0.0) == pytest.approx(50.0)
+        assert AppWatchdog.risk_from_margin(5.0) > 95
+        assert AppWatchdog.risk_from_margin(-5.0) < 5
 
 
 class TestDatasetIo:
@@ -122,21 +112,27 @@ class TestCli:
         records, labels, _ = load_dataset(output)
         assert records and len(records) == len(labels)
 
+    @staticmethod
+    def record_crawlers(monkeypatch) -> list:
+        """Record every crawler `make_crawler` builds for the CLI."""
+        import repro.crawler.crawler as crawler_module
+
+        crawlers = []
+        build = crawler_module.make_crawler
+
+        def recording(world):
+            crawlers.append(build(world))
+            return crawlers[-1]
+
+        monkeypatch.setattr(crawler_module, "make_crawler", recording)
+        return crawlers
+
     def test_evaluate_crawls_under_the_configured_faults(
         self, capsys, monkeypatch
     ):
-        """`evaluate` honours --fault-rate: its watchdog's crawler is the
-        one `make_crawler` builds, so it fights injected faults."""
-        import repro.core.watchdog as watchdog_module
-
-        crawlers = []
-
-        class Recording(watchdog_module.AppWatchdog):
-            def __init__(self, classifier, extractor, crawler, **kwargs):
-                super().__init__(classifier, extractor, crawler, **kwargs)
-                crawlers.append(crawler)
-
-        monkeypatch.setattr(watchdog_module, "AppWatchdog", Recording)
+        """`evaluate` honours --fault-rate: it crawls with the crawler
+        `make_crawler` builds, so it fights injected faults."""
+        crawlers = self.record_crawlers(monkeypatch)
         exit_code = main(
             ["--scale", "0.01", "--fault-rate", "0.5", "evaluate"]
         )
@@ -146,3 +142,21 @@ class TestCli:
         assert crawler.stats.requests > 0
         assert crawler.stats.fault_count() > 0
         assert crawler.transport.plan.fault_rate == 0.5
+
+    def test_evaluate_crawls_a_repeated_id_once(
+        self, pipeline_result, capsys, monkeypatch
+    ):
+        first, second = sorted(pipeline_result.bundle.d_sample)[:2]
+        crawlers = self.record_crawlers(monkeypatch)
+        head = ["--scale", "0.01", "--seed", "424242", "evaluate"]
+        outputs = []
+        for app_ids in ([first, second], [first, second, first]):
+            assert main(head + app_ids) == 0
+            outputs.append(capsys.readouterr().out)
+        twice, thrice = (
+            [line for line in out.splitlines() if not line.startswith("  - ")]
+            for out in outputs
+        )
+        assert len(twice) == 2 and len(thrice) == 3
+        assert thrice == [twice[0], *twice]  # printed in sorted-ID order
+        assert crawlers[0].stats.requests == crawlers[1].stats.requests > 0
